@@ -121,15 +121,15 @@ def main() -> None:
         "all courses": ConjunctiveQuery((x,), (Predicate("Course", 1)(x),)),
         "all students": ConjunctiveQuery((x,), (Predicate("Student", 1)(x),)),
     }
-    for label, query in queries.items():
-        answers = kb.answer(query, instance)
+    answer_sets = kb.answer_many(list(queries.values()), instance)
+    for label, answers in zip(queries, answer_sets):
         rendered = ", ".join(sorted(str(term) for (term,) in answers)) or "(none)"
         print(f"{label:22s}: {rendered}")
 
     # cross-check: every algorithm returns the same certain answers
-    reference = results["hypdr"].certain_base_facts(instance)
+    reference = results["hypdr"].session(instance).certain_base_facts()
     for knowledge_base in results.values():
-        assert knowledge_base.certain_base_facts(instance) == reference
+        assert knowledge_base.session(instance).certain_base_facts() == reference
     print("\nAll algorithms agree on the certain answers.")
 
 

@@ -54,13 +54,13 @@ def main() -> None:
 
     x = Variable("x")
     equipment_query = ConjunctiveQuery((x,), (Predicate("Equipment", 1)(x),))
-    answers = kb.answer(equipment_query, program.instance)
+    (answers,) = kb.answer_many([equipment_query], program.instance)
     print("\nAll pieces of equipment known to the system:")
     for (term,) in sorted(answers, key=str):
         print(f"  {term}")
 
     print("\nAll entailed base facts:")
-    for fact in sorted(kb.certain_base_facts(program.instance), key=str):
+    for fact in sorted(kb.session(program.instance).certain_base_facts(), key=str):
         print(f"  {format_fact(fact)}")
 
 

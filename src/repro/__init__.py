@@ -28,7 +28,7 @@ queries goal-directedly via the magic-sets transformation::
     kb.answer_many([parse_query("Equipment(sw1)")], program.instance)
 """
 
-from .api import KnowledgeBase, answer_query, entailed_base_facts
+from .api import KnowledgeBase
 from .datalog import (
     ConjunctiveQuery,
     DatalogProgram,
@@ -91,9 +91,7 @@ __all__ = [
     "Substitution",
     "TGD",
     "Variable",
-    "answer_query",
     "available_algorithms",
-    "entailed_base_facts",
     "evaluate_query",
     "materialize",
     "parse_atom",

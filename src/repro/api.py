@@ -49,22 +49,7 @@ identical under every strategy — only the work differs::
     kb.answer_many([query], facts)                                   # auto
     kb.answer_many([query], facts, options=QueryOptions("demand"))   # forced
 
-Deprecated surface
-------------------
-
-The legacy one-shot shims — module-level :func:`answer_query` and
-:func:`entailed_base_facts`, and the per-call :meth:`KnowledgeBase.answer`
-and :meth:`KnowledgeBase.certain_base_facts` — predate sessions and
-:class:`QueryOptions`; each call recompiled its reasoning state from
-scratch.  They still work, but emit :class:`DeprecationWarning` and will be
-removed once nothing depends on them.  Migrate:
-
-* ``answer_query(tgds, I, q)`` → ``KnowledgeBase.compile(tgds).answer_many([q], I)``
-* ``entailed_base_facts(tgds, I)`` → ``KnowledgeBase.compile(tgds).session(I).certain_base_facts()``
-* ``kb.answer(q, I)`` → ``kb.answer_many([q], I)`` (or keep a session)
-* ``kb.certain_base_facts(I)`` → ``kb.session(I).certain_base_facts()``
-
-The blessed query surface (:class:`KnowledgeBase`, :class:`QueryOptions`,
+The query surface (:class:`KnowledgeBase`, :class:`QueryOptions`,
 :class:`~repro.datalog.query.ConjunctiveQuery`) is re-exported from
 :mod:`repro`.
 
@@ -76,7 +61,6 @@ the ``python -m repro serve`` command.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
@@ -87,7 +71,7 @@ from .datalog.engine import (
     compiled_engine,
 )
 from .datalog.program import DatalogProgram
-from .datalog.query import ConjunctiveQuery, QueryOptions, evaluate_query
+from .datalog.query import ConjunctiveQuery, QueryOptions
 from .datalog.session import ReasoningSession
 from .kb.cache import cached_rewrite, sigma_fingerprint
 from .kb.format import FactSegments, read_kb_file_with_segments, write_kb_file
@@ -270,47 +254,11 @@ class KnowledgeBase:
         """Compute the fixpoint of the rewriting on a base instance."""
         return self.engine.materialize(instance)
 
-    def certain_base_facts(
-        self, instance: Instance | Iterable[Atom]
-    ) -> FrozenSet[Atom]:
-        """All base facts entailed by the instance and the GTGDs.
-
-        .. deprecated:: use ``kb.session(instance).certain_base_facts()``;
-           see "Deprecated surface" in the module docstring.
-        """
-        warnings.warn(
-            "KnowledgeBase.certain_base_facts(instance) is deprecated; use "
-            "kb.session(instance).certain_base_facts()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.session(instance).certain_base_facts()
-
     def entails(self, instance: Instance | Iterable[Atom], fact: Atom) -> bool:
         """Decide ``I, Σ |= F`` for a base fact ``F`` via the rewriting."""
         if not fact.is_base_fact:
             raise ValueError("entailment is defined for base facts only")
         return self.session(instance).entails(fact)
-
-    def answer(
-        self,
-        query: ConjunctiveQuery,
-        instance: Instance | Iterable[Atom],
-        *,
-        options: Optional[QueryOptions] = None,
-    ) -> FrozenSet[Tuple[Term, ...]]:
-        """Answer an existential-free conjunctive query under certain-answer semantics.
-
-        .. deprecated:: use :meth:`answer_many` (or keep a session); see
-           "Deprecated surface" in the module docstring.
-        """
-        warnings.warn(
-            "KnowledgeBase.answer(query, instance) is deprecated; use "
-            "kb.answer_many([query], instance) or keep a session",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.answer_many((query,), instance, options=options)[0]
 
     def answer_many(
         self,
@@ -330,45 +278,3 @@ class KnowledgeBase:
         """
         session = self.session(instance, defer_materialization=True)
         return session.answer_many(queries, options=options)
-
-
-def answer_query(
-    tgds: Iterable[TGD],
-    instance: Instance | Iterable[Atom],
-    query: ConjunctiveQuery,
-    algorithm: str = "hypdr",
-) -> FrozenSet[Tuple[Term, ...]]:
-    """One-shot query answering: rewrite, materialize, evaluate.
-
-    .. deprecated:: use ``KnowledgeBase.compile(tgds).answer_many([query],
-       instance)``; see "Deprecated surface" in the module docstring.
-    """
-    warnings.warn(
-        "answer_query is deprecated; use "
-        "KnowledgeBase.compile(tgds).answer_many([query], instance)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    kb = KnowledgeBase.compile(tgds, algorithm=algorithm)
-    return kb.answer_many((query,), instance)[0]
-
-
-def entailed_base_facts(
-    tgds: Iterable[TGD],
-    instance: Instance | Iterable[Atom],
-    algorithm: str = "hypdr",
-) -> FrozenSet[Atom]:
-    """One-shot computation of all entailed base facts via the rewriting.
-
-    .. deprecated:: use ``KnowledgeBase.compile(tgds).session(instance)
-       .certain_base_facts()``; see "Deprecated surface" in the module
-       docstring.
-    """
-    warnings.warn(
-        "entailed_base_facts is deprecated; use "
-        "KnowledgeBase.compile(tgds).session(instance).certain_base_facts()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    kb = KnowledgeBase.compile(tgds, algorithm=algorithm)
-    return kb.session(instance).certain_base_facts()

@@ -2,7 +2,6 @@
 
 from .guarded_engine import (
     GuardedChaseReasoner,
-    GuardedEngineStats,
     ReferenceGuardedReasoner,
 )
 from .oracle import (
@@ -29,7 +28,6 @@ __all__ = [
     "ChaseTree",
     "ChaseVertex",
     "GuardedChaseReasoner",
-    "GuardedEngineStats",
     "Loop",
     "ReferenceGuardedReasoner",
     "SkolemChase",

@@ -33,9 +33,7 @@ Two implementations live here:
   canonicalization.
 * :class:`ReferenceGuardedReasoner` — the pre-change recursive engine,
   retained verbatim as the executable specification: the differential tests
-  check the worklist engine against it, and the ``guarded_oracle`` perf
-  scenario measures ``speedup_vs_pre_change`` against it on the same
-  machine in the same process.
+  check the worklist engine against it.
 """
 
 from __future__ import annotations
@@ -56,41 +54,6 @@ TypeKey = FrozenSet[Atom]
 #: translation, child-canonical nulls blocked from export — the trigger's
 #: fresh nulls)
 _Edge = Tuple[TypeKey, Dict[Null, Null], FrozenSet[Null]]
-
-
-class GuardedEngineStats:
-    """Cumulative counters for the worklist engine (the ``chase_plan`` block
-    of the ``guarded_oracle`` perf scenario).
-
-    * ``types_closed`` — distinct types created and closed over the engine's
-      lifetime; ``types_reused`` counts trigger firings whose child type
-      already existed, so its cached closure was imported instead of being
-      re-derived — the memoization hit rate of the type table;
-    * ``processes`` — worklist pops that had pending work; ``rounds`` is the
-      total number of per-type delta iterations across them, and
-      ``delta_facts`` / ``max_delta`` describe the deltas those rounds
-      explored (each fact of each type enters its delta exactly once);
-    * ``trigger_firings`` — non-full TGD triggers fired (children built);
-    * ``imports`` — facts copied from a child closure into a parent type.
-    """
-
-    __slots__ = (
-        "types_closed",
-        "types_reused",
-        "processes",
-        "rounds",
-        "delta_facts",
-        "max_delta",
-        "trigger_firings",
-        "imports",
-    )
-
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _canonicalize(
@@ -188,7 +151,6 @@ class GuardedChaseReasoner:
         self.full_tgds, self.non_full_tgds = split_full_non_full(normalized)
         self.sigma_constants: FrozenSet[Constant] = program_constants(normalized)
         self.max_types = max_types
-        self.stats = GuardedEngineStats()
         self._null_counter = 0
         # per-saturate state (see _reset)
         self._cache: Dict[TypeKey, Set[Atom]] = {}
@@ -250,15 +212,15 @@ class GuardedChaseReasoner:
             self._dirty_set.add(key)
             self._dirty.append(key)
 
-    def _ensure_type(self, key: TypeKey) -> bool:
-        """Register a (canonical) type; returns ``True`` if it is new.
+    def _ensure_type(self, key: TypeKey) -> None:
+        """Register a (canonical) type unless it is already known.
 
         The invariant maintained everywhere: ``pending[key]`` is the subset
         of ``cache[key]`` whose consequences have not been explored yet —
         facts are committed to the closure first and queued as delta second.
         """
         if key in self._cache:
-            return False
+            return
         self._cache[key] = set(key)
         buckets: Dict[Predicate, List[Atom]] = {}
         for fact in key:
@@ -266,12 +228,10 @@ class GuardedChaseReasoner:
         self._buckets[key] = buckets
         self._pending[key] = set(key)
         self._mark_dirty(key)
-        self.stats.types_closed += 1
         if len(self._cache) > self.max_types:
             raise RuntimeError(
                 "type limit exceeded; the oracle is intended for small inputs only"
             )
-        return True
 
     def _drain(self) -> None:
         while self._dirty:
@@ -291,16 +251,10 @@ class GuardedChaseReasoner:
         delta = self._pending.pop(key, None)
         if not delta:
             return
-        stats = self.stats
-        stats.processes += 1
         current = self._cache[key]
         current_by_pred = self._buckets[key]
         added_total: Set[Atom] = set()
         while delta:
-            stats.rounds += 1
-            stats.delta_facts += len(delta)
-            if len(delta) > stats.max_delta:
-                stats.max_delta = len(delta)
             delta_by_pred: Dict[Predicate, List[Atom]] = {}
             for fact in delta:
                 delta_by_pred.setdefault(fact.predicate, []).append(fact)
@@ -386,12 +340,9 @@ class GuardedChaseReasoner:
         """Build (or reuse) a trigger's child type from its head facts plus
         the inheritable parent facts, and import the exportable part of the
         child's closure into ``new``."""
-        stats = self.stats
-        stats.trigger_firings += 1
         child_type = head_facts | frozenset(inherited)
         child_key, mapping, inverse = _canonicalize(child_type)
-        if not self._ensure_type(child_key):
-            stats.types_reused += 1
+        self._ensure_type(child_key)
         # the trigger's fresh nulls, in the child's canonical naming: facts
         # mentioning them never leave the child vertex
         blocked = frozenset(mapping[null] for null in fresh_nulls)
@@ -413,7 +364,6 @@ class GuardedChaseReasoner:
             translated = _rename_fact(fact, inverse)
             if translated not in current and translated not in new:
                 new.add(translated)
-                stats.imports += 1
 
     def _propagate(self, key: TypeKey, added: Set[Atom]) -> None:
         """Push a type's closure growth through the registered parent edges.
@@ -442,7 +392,6 @@ class GuardedChaseReasoner:
                         ).append(translated)
                         injected.append(translated)
                 if injected:
-                    self.stats.imports += len(injected)
                     self._pending.setdefault(parent_key, set()).update(injected)
                     self._mark_dirty(parent_key)
                     queue.append((parent_key, injected))
@@ -492,9 +441,8 @@ class ReferenceGuardedReasoner:
     re-closes every type reachable from the root from scratch (a whole-tree
     re-walk), and every closure round recomputes every TGD's matches against
     the entire type.  The property tests check
-    :class:`GuardedChaseReasoner` against this implementation, and the
-    ``guarded_oracle`` perf scenario uses it as the same-machine pre-change
-    baseline.  Never use it outside tests and benchmarks.
+    :class:`GuardedChaseReasoner` against this implementation.  Never use
+    it outside tests.
     """
 
     def __init__(self, tgds: Iterable[TGD], max_types: int = 50_000) -> None:

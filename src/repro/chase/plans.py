@@ -23,12 +23,11 @@ head projection cannot build.  This module supplies the two missing pieces:
   interned atoms), and the ``max_facts`` cutoff fires during the commit phase
   exactly as the naive loop's mid-round cutoff does.
 
-Reading the ``chase_plan`` stats block in BENCH_rewriting.json
---------------------------------------------------------------
+Reading the chase-plan counters
+-------------------------------
 
-The perf harness attaches a ``chase_plan`` block to the ``skolem_chase``
-scenario (the ``guarded_oracle`` scenario's block comes from
-:class:`repro.chase.guarded_engine.GuardedEngineStats` instead):
+Every :meth:`~repro.chase.skolem_chase.SkolemChase.run` result carries a
+:class:`ChasePlanStats` snapshot as ``plan_stats``:
 
 * ``rounds`` — semi-naive delta rounds after the initial full pass;
 * ``delta_facts`` — facts committed across all deltas (equals the derived

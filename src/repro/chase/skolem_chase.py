@@ -17,14 +17,11 @@ Two evaluation strategies are provided:
   last delta instead of the whole fact set.
 * :meth:`SkolemChase.run_naive_reference` — the retained per-round
   ``solve_match`` loop, kept as the executable specification the property
-  tests compare the semi-naive engine against, and as the same-machine
-  naive baseline for the ``skolem_chase`` perf scenario's
-  ``speedup_vs_pre_change``.  Its one concession to speed over the true
-  pre-change loop: per-rule candidate domains are maintained incrementally
-  across rounds (facts are appended to the body slots they can match when
-  first derived) instead of being rebuilt from the predicate buckets on
-  every rule application — so the recorded speedup is a conservative lower
-  bound on the speedup over the pre-change code.
+  tests compare the semi-naive engine against.  Its one concession to speed
+  over the true pre-change loop: per-rule candidate domains are maintained
+  incrementally across rounds (facts are appended to the body slots they
+  can match when first derived) instead of being rebuilt from the predicate
+  buckets on every rule application.
 """
 
 from __future__ import annotations
@@ -114,7 +111,7 @@ class SkolemChase:
         )
 
     # ------------------------------------------------------------------
-    # naive reference (the executable spec and pre-change perf baseline)
+    # naive reference (the executable spec)
     # ------------------------------------------------------------------
     def run_naive_reference(
         self, instance: Instance | Iterable[Atom]
@@ -128,8 +125,7 @@ class SkolemChase:
         per-rule candidate domains are maintained incrementally across
         rounds (see :class:`_RuleDomains`) instead of being rebuilt from the
         predicate buckets per rule application; the solve itself is
-        unchanged.  That makes it *faster* than the true pre-change loop, so
-        perf numbers measured against it are conservative.
+        unchanged.
         """
         facts: Set[Atom] = set(instance)
         domains = _RuleDomains(self._rules, facts)

@@ -54,27 +54,6 @@ from .logic.tgd import bwidth, head_normalize, hwidth, split_full_non_full
 from .rewriting.base import RewritingSettings
 from .rewriting.rewriter import available_algorithms
 
-#: scenarios faster than this (in both captures) are exempt from the
-#: ``perf --max-regression`` gate — sub-half-second workloads routinely vary
-#: by 2x between identical runs on shared machines, so gating them would
-#: only produce noise failures
-MIN_GATE_WALL_SECONDS = 0.5
-
-#: mirror of :data:`repro.harness.perfcapture.SCENARIO_NAMES`, inlined so
-#: building the parser does not import the harness (every CLI invocation
-#: pays parser-build time); a harness test asserts the two stay in sync
-PERF_SCENARIO_NAMES = (
-    "separation_families",
-    "fulldr_comparison",
-    "end_to_end",
-    "incremental_updates",
-    "churn",
-    "skolem_chase",
-    "guarded_oracle",
-    "serving_throughput",
-    "demand_queries",
-)
-
 
 class _SessionUpdateAction(argparse.Action):
     """Collect ``--delta``/``--retract`` as one ordered list of (op, path).
@@ -89,26 +68,6 @@ class _SessionUpdateAction(argparse.Action):
         operation = "retract" if option_string == "--retract" else "add"
         updates.append((operation, values))
         setattr(namespace, self.dest, updates)
-
-
-def _newly_timed_out_scenarios(payload) -> "List[str]":
-    """Scenarios whose status flipped completed -> timed_out vs the baseline.
-
-    Status-changed scenarios carry no wall-time ratio (different work), so
-    the ``--max-regression`` gate must catch this flip explicitly — a
-    scenario that used to finish and now times out is the worst regression
-    the gate exists for, not a reason to skip comparison.
-    """
-    changes = payload.get("scenario_status_vs_baseline")
-    if not isinstance(changes, dict):
-        return []
-    return sorted(
-        name
-        for name, change in changes.items()
-        if isinstance(change, dict)
-        and change.get("baseline") == "completed"
-        and change.get("current") == "timed_out"
-    )
 
 
 def _read_program(path: str):
@@ -486,105 +445,6 @@ def _command_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_perf(args: argparse.Namespace) -> int:
-    import json
-
-    from .harness.runner import run_perf_capture
-    from .harness.reports import perf_report
-
-    # validate both paths before paying for the capture run
-    previous = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.is_file():
-            print(f"error: baseline file not found: {baseline_path}", file=sys.stderr)
-            return 2
-        try:
-            previous = json.loads(baseline_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            print(f"error: baseline is not valid JSON: {exc}", file=sys.stderr)
-            return 2
-        expected_scale = "smoke" if args.smoke else "default"
-        baseline_scale = previous.get("scale")
-        if baseline_scale != expected_scale:
-            print(
-                f"error: scale mismatch: this run is {expected_scale!r} but the "
-                f"baseline capture is {baseline_scale!r}; wall times would not "
-                "be comparable",
-                file=sys.stderr,
-            )
-            return 2
-    output_dir = Path(args.output).resolve().parent
-    if not output_dir.is_dir():
-        print(f"error: output directory does not exist: {output_dir}", file=sys.stderr)
-        return 2
-
-    if args.max_regression is not None and previous is None:
-        print("error: --max-regression requires --baseline", file=sys.stderr)
-        return 2
-
-    payload = run_perf_capture(
-        smoke=args.smoke,
-        output_path=args.output,
-        baseline=previous,
-        scenarios=args.scenario,
-    )
-    print(perf_report(payload))
-    print(f"# written to {args.output}", file=sys.stderr)
-    if args.step_summary:
-        from .harness.reports import step_summary_markdown
-
-        # append (GitHub writes other steps' summaries to the same file)
-        with open(args.step_summary, "a", encoding="utf-8") as handle:
-            handle.write(step_summary_markdown(payload) + "\n")
-        print(f"# step summary appended to {args.step_summary}", file=sys.stderr)
-    if args.max_regression is not None:
-        comparison = payload.get("speedup_vs_baseline_file", {})
-        if "error" in comparison:
-            print(f"error: {comparison['error']}", file=sys.stderr)
-            return 2
-        newly_timed_out = _newly_timed_out_scenarios(payload)
-        if newly_timed_out:
-            print(
-                "error: scenario(s) newly timed out vs baseline: "
-                f"{', '.join(newly_timed_out)}",
-                file=sys.stderr,
-            )
-            return 3
-        # ratio is old/new wall time: 1.0 means unchanged, <1.0 slower.
-        floor = 1.0 / (1.0 + args.max_regression / 100.0)
-        scenarios = payload.get("scenarios", {})
-        regressed = {}
-        for name, ratio in comparison.items():
-            new_wall = scenarios.get(name, {}).get("wall_seconds") or 0.0
-            old_wall = new_wall * ratio
-            if max(new_wall, old_wall) < MIN_GATE_WALL_SECONDS:
-                print(
-                    f"# gate: skipping {name} (wall time below "
-                    f"{MIN_GATE_WALL_SECONDS:g}s, too noisy to compare)",
-                    file=sys.stderr,
-                )
-                continue
-            if ratio < floor:
-                regressed[name] = ratio
-        if regressed:
-            rendered = ", ".join(
-                f"{name} {round((1 / ratio - 1) * 100)}% slower"
-                for name, ratio in sorted(regressed.items())
-            )
-            print(
-                f"error: scenarios regressed more than {args.max_regression:g}% "
-                f"vs baseline: {rendered}",
-                file=sys.stderr,
-            )
-            return 3
-        print(
-            f"# no scenario regressed more than {args.max_regression:g}% vs baseline",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -765,48 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_rewriting_options(server_parser)
     server_parser.set_defaults(handler=_command_serve)
-
-    perf_parser = subparsers.add_parser(
-        "perf",
-        help="run the recorded benchmark scenarios and emit BENCH_rewriting.json",
-    )
-    perf_parser.add_argument(
-        "-o",
-        "--output",
-        default="BENCH_rewriting.json",
-        help="where to write the JSON capture (default: BENCH_rewriting.json)",
-    )
-    perf_parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny workloads only (seconds, for CI smoke runs)",
-    )
-    perf_parser.add_argument(
-        "--scenario",
-        action="append",
-        choices=PERF_SCENARIO_NAMES,
-        metavar="NAME",
-        help="capture only this scenario (repeatable; default: all of "
-        f"{', '.join(PERF_SCENARIO_NAMES)})",
-    )
-    perf_parser.add_argument(
-        "--baseline",
-        help="a previous BENCH_rewriting.json to compare wall times against",
-    )
-    perf_parser.add_argument(
-        "--step-summary",
-        metavar="PATH",
-        help="append a markdown summary table (wall times, speedups, join-plan "
-        "stats) to this file — CI passes $GITHUB_STEP_SUMMARY",
-    )
-    perf_parser.add_argument(
-        "--max-regression",
-        type=float,
-        metavar="PCT",
-        help="exit non-zero if any scenario's wall time regresses more than "
-        "PCT%% versus the --baseline capture (CI gate)",
-    )
-    perf_parser.set_defaults(handler=_command_perf)
 
     return parser
 

@@ -9,7 +9,7 @@ from .engine import (
     materialize,
     naive_reference_fixpoint,
 )
-from .index import FactStore
+from .store import FactStore
 from .magic import (
     DemandAnswer,
     DemandReport,

@@ -47,7 +47,7 @@ each IDB atom replaced by its adorned predicate.
 Reading the ``magic`` stats counters
 ------------------------------------
 
-The harness's ``demand_queries`` scenario and :class:`DemandReport` expose:
+:class:`DemandReport` exposes:
 
 * ``adorned_rules`` / ``magic_rules`` / ``copy_rules`` — size of the
   rewritten program by rule role (how much of the program the demand

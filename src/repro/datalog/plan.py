@@ -48,11 +48,15 @@ only at the boundaries: :meth:`RulePlan.project_head` (term-space callers)
 and the query answer projection; the engine commits
 :meth:`RulePlan.project_rows` output straight back into row space.
 
-Reading the ``join_plan`` stats in BENCH_rewriting.json
--------------------------------------------------------
+Reading the join-plan counters
+------------------------------
 
-The perf harness (``python -m repro perf``) attaches a ``join_plan`` block to
-the ``end_to_end`` and ``incremental_updates`` scenarios:
+:class:`JoinPlanStats` counts the pipeline work.  An engine keeps lifetime
+totals (``DatalogEngine.join_stats``), every materialization, extension and
+retraction result carries a ``join_stats`` snapshot, and a session sums
+those snapshots (``ReasoningSession.join_stats``).  The repository
+benchmark (``perfbench/``) reports ``probes`` and ``probe_hits`` as its
+``datalog.engine.join_probes`` and ``join_hit_rate`` per-layer metrics:
 
 * ``batches`` — executed pipeline steps (one columnar batch per step);
 * ``probes`` / ``probe_hits`` — hash-index lookups performed and the facts
@@ -66,13 +70,15 @@ the ``end_to_end`` and ``incremental_updates`` scenarios:
   some body relation was empty;
 * ``deletion_batches`` / ``deletion_rows`` — pipelines executed pivoted on
   a *deleted* delta during DRed over-deletion (:meth:`DatalogEngine.retract`)
-  and the candidate-deletion rows they emitted;
-* ``plans_compiled`` — distinct ``(rule, pivot)`` variants compiled over the
-  engine's lifetime; this stays flat across rounds/updates because plans are
-  cached and reused;
-* ``plan_shapes`` — per-rule pipeline summaries such as
-  ``"Reach(?x,?z) <- scan Reach | Edge[k1]"`` (``[kN]`` = hash join over an
-  ``N``-column key), deduplicated with counts.
+  and the candidate-deletion rows they emitted.
+
+Two engine methods describe the plans themselves:
+:meth:`DatalogEngine.compiled_plan_count` counts the distinct
+``(rule, pivot)`` variants compiled over the engine's lifetime (flat across
+rounds and updates, because plans are cached and reused), and
+:meth:`DatalogEngine.plan_shapes` lists per-rule pipeline summaries such as
+``"Reach(?x,?z) <- scan Reach | Edge[k1]"`` (``[kN]`` = hash join over an
+``N``-column key).
 """
 
 from __future__ import annotations
@@ -549,7 +555,7 @@ class RulePlan:
             yield Atom(predicate, decode(row))
 
     def shape(self) -> str:
-        """Compact human-readable pipeline summary for the bench JSON."""
+        """Compact human-readable pipeline summary (see ``plan_shapes``)."""
         variant = self._variants.get(None) or next(iter(self._variants.values()), None)
         if variant is None:
             variant = self.variant(None)

@@ -2,7 +2,7 @@
 
 The paper's deployment mode is "compile Σ once, serve many instances and
 queries".  A :class:`ReasoningSession` is the serving half of that story: it
-keeps the materialized :class:`~repro.datalog.index.FactStore` alive across
+keeps the materialized :class:`~repro.datalog.store.FactStore` alive across
 calls, so
 
 * ``add_facts(delta)`` propagates a batch of new base facts by *true
@@ -46,7 +46,7 @@ from .engine import (
     RetractionResult,
     compiled_engine,
 )
-from .index import FactStore
+from .store import FactStore
 from .magic import demand_answer, query_has_bound_arguments
 from .program import DatalogProgram
 from .plan import JoinPlanStats

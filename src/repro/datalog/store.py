@@ -36,8 +36,7 @@ ID-encoding invariants
 The base/derived bookkeeping contract (DRed support) is unchanged from the
 previous object-encoded store: base facts are the caller-asserted EDB
 (``base_facts() ⊆ facts()``), a fact can be base *and* derivable, and
-removing a fact discards its base mark.  :mod:`repro.datalog.index`
-re-exports :class:`FactStore` for compatibility with older imports.
+removing a fact discards its base mark.
 """
 
 from __future__ import annotations
@@ -462,7 +461,7 @@ class FactStore:
         return clone
 
     def stats(self) -> Dict[str, object]:
-        """The ``fact_store`` stats block of the perf harness.
+        """Size counters: term-table size, rows, key-index entries and memory.
 
         ``index_memory_bytes`` is an order-of-magnitude estimate (8 bytes
         per row reference in a bucket plus ~64 bytes of dict-entry overhead

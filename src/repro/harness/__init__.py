@@ -1,6 +1,6 @@
 """Benchmark harness: runners, aggregation, and paper-style report rendering."""
 
-from .runner import BenchmarkRunner, RunRecord, run_on_tgds, run_perf_capture
+from .runner import BenchmarkRunner, RunRecord, run_on_tgds
 from .reports import (
     cactus_report,
     end_to_end_report,
@@ -8,22 +8,8 @@ from .reports import (
     format_table,
     full_figure_report,
     pairwise_report,
-    perf_report,
     table1_report,
 )
-_LAZY_PERFCAPTURE = ("capture_perf", "compare_captures", "write_bench_json")
-
-
-def __getattr__(name: str):
-    # perfcapture pulls in the whole rewriting + workloads stack; defer that
-    # import until one of its entry points is actually requested
-    if name in _LAZY_PERFCAPTURE:
-        from . import perfcapture
-
-        return getattr(perfcapture, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 from .stats import (
     AlgorithmSummary,
     both_fail_matrix,
@@ -41,11 +27,6 @@ __all__ = [
     "RunRecord",
     "both_fail_matrix",
     "cactus_report",
-    "capture_perf",
-    "compare_captures",
-    "perf_report",
-    "run_perf_capture",
-    "write_bench_json",
     "cactus_series",
     "end_to_end_report",
     "figure_summary_report",

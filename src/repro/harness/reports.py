@@ -8,7 +8,7 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from .runner import RunRecord
 from .stats import (
@@ -147,551 +147,6 @@ def end_to_end_report(rows: Sequence[Mapping[str, object]]) -> str:
     return "Table 2: Computing the Fixpoint of the Rewriting\n" + format_table(
         headers, table_rows
     )
-
-
-def _stats_block(scenario: Mapping[str, object], key: str) -> Mapping[str, object]:
-    """The named stats block of a scenario, or ``{}`` when absent.
-
-    Captures recorded before a stats block existed (older committed
-    baselines, the merge-base capture CI compares against) simply lack the
-    key — and a hand-edited capture may carry a malformed one.  Every
-    renderer reads optional blocks through this helper so old and new
-    captures keep rendering side by side instead of crashing the report.
-    """
-    block = scenario.get(key)
-    return block if isinstance(block, Mapping) else {}
-
-
-def perf_report(payload: Mapping[str, object]) -> str:
-    """Render a BENCH_rewriting capture (see harness.perfcapture) as text."""
-    lines: List[str] = [
-        f"Perf capture ({payload.get('scale', '?')} scale): "
-        f"{payload.get('wall_seconds', 0.0):.2f}s total"
-    ]
-    scenarios = payload.get("scenarios", {})
-    if isinstance(scenarios, Mapping):
-        rows = []
-        for name, scenario in scenarios.items():
-            if not isinstance(scenario, Mapping):
-                continue
-            clauses = scenario.get("clauses", {})
-            rows.append(
-                [
-                    name,
-                    scenario.get("wall_seconds", ""),
-                    clauses.get("generated", ""),
-                    clauses.get("retained", ""),
-                    clauses.get("subsumption_hit_rate", ""),
-                ]
-            )
-        lines.append(
-            format_table(
-                ["Scenario", "Wall (s)", "Generated", "Retained", "Subs. hit rate"],
-                rows,
-            )
-        )
-        separation = scenarios.get("separation_families")
-        if isinstance(separation, Mapping) and separation.get("speedup_vs_pre_change"):
-            lines.append(
-                f"separation_families speedup vs pre-change loop: "
-                f"{separation['speedup_vs_pre_change']}x"
-            )
-        end_to_end = scenarios.get("end_to_end")
-        if isinstance(end_to_end, Mapping) and end_to_end.get(
-            "materialize_speedup_vs_pre_change"
-        ):
-            lines.append(
-                f"end_to_end materialization speedup vs tuple-at-a-time engine: "
-                f"{end_to_end['materialize_speedup_vs_pre_change']}x"
-            )
-        incremental = scenarios.get("incremental_updates")
-        if isinstance(incremental, Mapping) and incremental.get(
-            "speedup_delta_vs_full"
-        ):
-            lines.append(
-                f"incremental_updates: delta propagation "
-                f"{incremental['speedup_delta_vs_full']}x faster than full "
-                f"re-materialization"
-                + ("" if incremental.get("all_consistent") else " (INCONSISTENT!)")
-            )
-        churn = scenarios.get("churn")
-        # render whenever there is a speedup to report OR a divergence to
-        # flag — an inconsistent run must never lose its warning
-        if isinstance(churn, Mapping) and (
-            churn.get("speedup_churn_vs_full")
-            or churn.get("all_consistent") is False
-        ):
-            dred = churn.get("dred", {})
-            lines.append(
-                f"churn: interleaved add/retract "
-                f"{churn.get('speedup_churn_vs_full') or '?'}x faster than full "
-                f"re-materialization (DRed: {dred.get('retracted', 0)} retracted, "
-                f"{dred.get('overdeleted', 0)} overdeleted, "
-                f"{dred.get('rederived', 0)} rederived, "
-                f"net -{dred.get('net_removed', 0)} in "
-                f"{dred.get('rounds', 0)} rounds)"
-                + ("" if churn.get("all_consistent") else " (INCONSISTENT!)")
-            )
-        for name in ("end_to_end", "incremental_updates"):
-            scenario = scenarios.get(name)
-            if not isinstance(scenario, Mapping):
-                continue
-            join_plan = scenario.get("join_plan")
-            if isinstance(join_plan, Mapping) and join_plan.get("batches"):
-                lines.append(
-                    f"{name} join plans: {join_plan.get('batches', 0)} batches, "
-                    f"{join_plan.get('probes', 0)} probes, "
-                    f"{join_plan.get('probe_hits', 0)} hits "
-                    f"(avg {join_plan.get('hit_rate', 0.0)} facts/probe, "
-                    f"{join_plan.get('plans_compiled', 0)} plans compiled)"
-                )
-        fulldr = scenarios.get("fulldr_comparison")
-        if isinstance(fulldr, Mapping):
-            solver = fulldr.get("match_solver")
-            if isinstance(solver, Mapping) and solver.get("solves"):
-                lines.append(
-                    f"fulldr_comparison match solver: {solver.get('solves', 0)} "
-                    f"solves, {solver.get('nodes_expanded', 0)} nodes expanded, "
-                    f"{solver.get('domains_pruned', 0)} domain values pruned, "
-                    f"{solver.get('empty_domain_exits', 0)} empty-domain exits, "
-                    f"{solver.get('solutions', 0)} substitutions"
-                )
-        skolem = scenarios.get("skolem_chase")
-        # render whenever there is a speedup to report OR a divergence to
-        # flag — an inconsistent run must never lose its warning just
-        # because the ratio came out falsy
-        if isinstance(skolem, Mapping) and (
-            skolem.get("speedup_vs_pre_change")
-            or skolem.get("all_consistent") is False
-        ):
-            chase_plan = skolem.get("chase_plan", {})
-            lines.append(
-                f"skolem_chase: semi-naive plans "
-                f"{skolem.get('speedup_vs_pre_change') or '?'}x faster than the naive loop "
-                f"({chase_plan.get('rounds', 0)} delta rounds, "
-                f"max delta {chase_plan.get('max_delta', 0)}, "
-                f"{chase_plan.get('probes', 0)} probes / "
-                f"{chase_plan.get('probe_hits', 0)} hits)"
-                + ("" if skolem.get("all_consistent") else " (INCONSISTENT!)")
-            )
-        guarded = scenarios.get("guarded_oracle")
-        if isinstance(guarded, Mapping) and (
-            guarded.get("speedup_vs_pre_change")
-            or guarded.get("all_consistent") is False
-        ):
-            chase_plan = guarded.get("chase_plan", {})
-            lines.append(
-                f"guarded_oracle: dirty-type worklist "
-                f"{guarded.get('speedup_vs_pre_change') or '?'}x faster than tree re-walks "
-                f"({chase_plan.get('types_closed', 0)} types closed, "
-                f"{chase_plan.get('types_reused', 0)} reused, "
-                f"{chase_plan.get('rounds', 0)} delta rounds, "
-                f"{chase_plan.get('imports', 0)} imports)"
-                + ("" if guarded.get("all_consistent") else " (INCONSISTENT!)")
-            )
-        serving = scenarios.get("serving_throughput")
-        # render whenever there is a speedup to report OR stale answers to
-        # flag — a stale-serving run must never lose its warning
-        if isinstance(serving, Mapping) and (
-            serving.get("speedup_batched_vs_sequential")
-            or serving.get("stale_free") is False
-        ):
-            block = _stats_block(serving, "serving")
-            latency = _stats_block(serving, "latency_ms")
-            lines.append(
-                f"serving_throughput: {serving.get('clients', '?')} concurrent "
-                f"clients {serving.get('speedup_batched_vs_sequential') or '?'}x "
-                f"faster than sequential serve-batch "
-                f"(p50 {latency.get('p50', '?')}ms / p99 {latency.get('p99', '?')}ms, "
-                f"cache hit rate {block.get('cache_hit_rate', 0.0)}, "
-                f"{block.get('batches', 0)} batches, "
-                f"dedup saved {block.get('dedup_saved', 0)})"
-                + ("" if serving.get("stale_free", True) else " (STALE ANSWERS!)")
-            )
-            resilience = _stats_block(serving, "resilience")
-            degraded = {
-                key: resilience.get(key, 0)
-                for key in ("worker_restarts", "task_retries", "timeouts", "sheds")
-                if resilience.get(key)
-            }
-            if degraded:
-                # a perf measurement that needed recoveries is a degraded
-                # measurement; say so right next to the number it taints
-                lines.append(
-                    "  (measurement degraded by recoveries: "
-                    + ", ".join(f"{key}={value}" for key, value in degraded.items())
-                    + ")"
-                )
-        demand = scenarios.get("demand_queries")
-        # render whenever there is a speedup to report OR a divergence to
-        # flag — a disagreeing demand run must never lose its warning
-        if isinstance(demand, Mapping) and (
-            demand.get("speedup_demand_vs_materialized")
-            or demand.get("agreement") is False
-        ):
-            magic = _stats_block(demand, "magic")
-            lines.append(
-                f"demand_queries: goal-directed (magic sets) answering "
-                f"{demand.get('speedup_demand_vs_materialized') or '?'}x faster "
-                f"than cold full materialization over {demand.get('queries', 0)} "
-                f"bound point queries ({magic.get('adorned_rules', 0)} adorned "
-                f"rules, {magic.get('magic_facts', 0)} magic facts, "
-                f"{magic.get('predicates_touched', 0)}/"
-                f"{magic.get('predicates_total', 0)} predicates touched)"
-                + ("" if demand.get("agreement", True) else " (DISAGREEMENT!)")
-            )
-        store_rows = []
-        for name in (
-            "end_to_end",
-            "incremental_updates",
-            "churn",
-            "demand_queries",
-        ):
-            scenario = scenarios.get(name)
-            if not isinstance(scenario, Mapping):
-                continue
-            block = _stats_block(scenario, "fact_store")
-            if not block.get("rows"):
-                continue
-            store_rows.append(
-                [
-                    name,
-                    block.get("stores", ""),
-                    block.get("term_table_size", ""),
-                    block.get("rows", ""),
-                    block.get("index_entries", ""),
-                    block.get("index_memory_bytes", ""),
-                    f"{block.get('encode_calls', 0)}/"
-                    f"{block.get('decode_calls', 0)}",
-                ]
-            )
-        if store_rows:
-            lines.append(
-                "Fact-store (ID-encoded) stats\n"
-                + format_table(
-                    [
-                        "Scenario",
-                        "Stores",
-                        "Terms",
-                        "Rows",
-                        "Idx entries",
-                        "Idx bytes",
-                        "Enc/dec calls",
-                    ],
-                    store_rows,
-                )
-            )
-        segments = (
-            _stats_block(demand, "kb_segments")
-            if isinstance(demand, Mapping)
-            else {}
-        )
-        if segments:
-            lines.append(
-                f"kb_segments: {segments.get('file_bytes', 0)} bytes on disk, "
-                f"{segments.get('predicates_loaded', 0)}/"
-                f"{segments.get('total_predicates', 0)} predicate segments "
-                f"decoded ({segments.get('load_wall_seconds', 0.0)}s) after one "
-                f"cold demand answer"
-            )
-    status_changes = payload.get("scenario_status_vs_baseline")
-    if isinstance(status_changes, Mapping):
-        for name, change in sorted(status_changes.items()):
-            lines.append(
-                f"{name}: status changed vs baseline "
-                f"({change.get('baseline')} -> {change.get('current')}); "
-                "wall times not compared"
-            )
-    interning = payload.get("interning", {})
-    if isinstance(interning, Mapping) and "overall" in interning:
-        overall = interning["overall"]
-        lines.append(
-            f"interning: {overall.get('hits', 0)} hits / "
-            f"{overall.get('misses', 0)} misses "
-            f"(hit rate {overall.get('hit_rate', 0.0)})"
-        )
-    baseline = payload.get("speedup_vs_baseline_file")
-    if isinstance(baseline, Mapping):
-        if "error" in baseline:
-            lines.append(f"baseline comparison FAILED: {baseline['error']}")
-        else:
-            rendered = ", ".join(
-                f"{name} {ratio}x" for name, ratio in baseline.items()
-            )
-            lines.append(f"speedup vs baseline file: {rendered or '(no data)'}")
-    return "\n".join(lines)
-
-
-def step_summary_markdown(payload: Mapping[str, object]) -> str:
-    """Render a BENCH capture as GitHub-flavoured markdown for CI summaries.
-
-    Written to ``$GITHUB_STEP_SUMMARY`` by the perf-smoke workflow so PR
-    reviewers see per-scenario wall times, the speedup versus the merge-base
-    capture, and the join-plan statistics without downloading the artifact.
-    """
-    lines: List[str] = [
-        "## Perf capture "
-        f"({payload.get('scale', '?')} scale, "
-        f"{payload.get('wall_seconds', 0.0):.2f}s total)",
-        "",
-        "| Scenario | Wall (s) | Speedup vs baseline |",
-        "| --- | ---: | ---: |",
-    ]
-    scenarios = payload.get("scenarios", {})
-    baseline = payload.get("speedup_vs_baseline_file")
-    ratios = baseline if isinstance(baseline, Mapping) else {}
-    status_changes = payload.get("scenario_status_vs_baseline")
-    status_changes = status_changes if isinstance(status_changes, Mapping) else {}
-    if isinstance(scenarios, Mapping):
-        for name, scenario in scenarios.items():
-            if not isinstance(scenario, Mapping):
-                continue
-            ratio = ratios.get(name)
-            change = status_changes.get(name)
-            if isinstance(change, Mapping):
-                rendered_ratio = (
-                    f"{change.get('baseline')} → {change.get('current')}"
-                )
-            elif isinstance(ratio, (int, float)):
-                rendered_ratio = f"{ratio}x"
-            else:
-                rendered_ratio = "–"
-            lines.append(
-                f"| {name} | {scenario.get('wall_seconds', '')} | {rendered_ratio} |"
-            )
-        incremental = scenarios.get("incremental_updates")
-        if isinstance(incremental, Mapping) and incremental.get(
-            "speedup_delta_vs_full"
-        ):
-            lines.append("")
-            lines.append(
-                f"Delta propagation is **{incremental['speedup_delta_vs_full']}x** "
-                "faster than full re-materialization"
-                + ("." if incremental.get("all_consistent") else " (INCONSISTENT!).")
-            )
-        churn = scenarios.get("churn")
-        if isinstance(churn, Mapping) and (
-            churn.get("speedup_churn_vs_full")
-            or churn.get("all_consistent") is False
-        ):
-            lines.append("")
-            lines.append(
-                f"Interleaved add/retract churn is "
-                f"**{churn.get('speedup_churn_vs_full') or '?'}x** faster than full "
-                "re-materialization"
-                + ("." if churn.get("all_consistent") else " (INCONSISTENT!).")
-            )
-            dred = churn.get("dred")
-            if isinstance(dred, Mapping):
-                lines.append("")
-                lines.append("### DRed stats (churn)")
-                lines.append("")
-                lines.append(
-                    "| Retracted | Overdeleted | Rederived | Net removed | Rounds |"
-                )
-                lines.append("| ---: | ---: | ---: | ---: | ---: |")
-                lines.append(
-                    f"| {dred.get('retracted', 0)} "
-                    f"| {dred.get('overdeleted', 0)} "
-                    f"| {dred.get('rederived', 0)} "
-                    f"| {dred.get('net_removed', 0)} "
-                    f"| {dred.get('rounds', 0)} |"
-                )
-        join_rows = []
-        for name in ("end_to_end", "incremental_updates"):
-            scenario = scenarios.get(name)
-            if not isinstance(scenario, Mapping):
-                continue
-            join_plan = scenario.get("join_plan")
-            if isinstance(join_plan, Mapping) and join_plan.get("batches"):
-                join_rows.append(
-                    f"| {name} | {join_plan.get('batches', 0)} "
-                    f"| {join_plan.get('probes', 0)} "
-                    f"| {join_plan.get('probe_hits', 0)} "
-                    f"| {join_plan.get('hit_rate', 0.0)} "
-                    f"| {join_plan.get('plans_compiled', 0)} |"
-                )
-        if join_rows:
-            lines.append("")
-            lines.append("### Join-plan stats")
-            lines.append("")
-            lines.append(
-                "| Scenario | Batches | Probes | Hits | Facts/probe | Plans |"
-            )
-            lines.append("| --- | ---: | ---: | ---: | ---: | ---: |")
-            lines.extend(join_rows)
-        chase_rows = []
-        for name in ("skolem_chase", "guarded_oracle"):
-            scenario = scenarios.get(name)
-            if not isinstance(scenario, Mapping):
-                continue
-            chase_plan = scenario.get("chase_plan")
-            if not isinstance(chase_plan, Mapping):
-                continue
-            # an empty block is skipped — unless the run diverged, which
-            # must stay visible in the summary regardless
-            if not chase_plan.get("rounds") and scenario.get("all_consistent"):
-                continue
-            speedup = scenario.get("speedup_vs_pre_change")
-            if name == "skolem_chase":
-                detail = (
-                    f"{chase_plan.get('probes', 0)} probes / "
-                    f"{chase_plan.get('probe_hits', 0)} hits"
-                )
-            else:
-                detail = (
-                    f"{chase_plan.get('types_closed', 0)} types closed / "
-                    f"{chase_plan.get('types_reused', 0)} reused"
-                )
-            chase_rows.append(
-                f"| {name} | {chase_plan.get('rounds', 0)} "
-                f"| {chase_plan.get('max_delta', 0)} "
-                f"| {detail} "
-                f"| {f'{speedup}x' if speedup else '–'}"
-                + ("" if scenario.get("all_consistent") else " (INCONSISTENT!)")
-                + " |"
-            )
-        if chase_rows:
-            lines.append("")
-            lines.append("### Chase-plan stats")
-            lines.append("")
-            lines.append(
-                "| Scenario | Delta rounds | Max delta | Detail "
-                "| Speedup vs pre-change |"
-            )
-            lines.append("| --- | ---: | ---: | --- | ---: |")
-            lines.extend(chase_rows)
-        serving = scenarios.get("serving_throughput")
-        if isinstance(serving, Mapping):
-            block = _stats_block(serving, "serving")
-            latency = _stats_block(serving, "latency_ms")
-            # older captures have no serving scenario blocks; render only
-            # what is actually there so baselines keep comparing
-            if block or latency:
-                speedup = serving.get("speedup_batched_vs_sequential")
-                lines.append("")
-                lines.append("### Serving stats")
-                lines.append("")
-                lines.append(
-                    "| Clients | Requests | p50 (ms) | p99 (ms) | Cache hit rate "
-                    "| Batches | Dedup saved | Speedup vs sequential |"
-                )
-                lines.append(
-                    "| ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: |"
-                )
-                lines.append(
-                    f"| {serving.get('clients', '–')} "
-                    f"| {serving.get('requests', '–')} "
-                    f"| {latency.get('p50', '–')} "
-                    f"| {latency.get('p99', '–')} "
-                    f"| {block.get('cache_hit_rate', '–')} "
-                    f"| {block.get('batches', '–')} "
-                    f"| {block.get('dedup_saved', '–')} "
-                    f"| {f'{speedup}x' if speedup else '–'}"
-                    + ("" if serving.get("stale_free", True) else " (STALE ANSWERS!)")
-                    + " |"
-                )
-                histogram = block.get("batch_size_histogram")
-                if isinstance(histogram, Mapping) and histogram:
-                    rendered = ", ".join(
-                        f"{size}×{count}"
-                        for size, count in sorted(
-                            histogram.items(), key=lambda pair: int(pair[0])
-                        )
-                    )
-                    lines.append("")
-                    lines.append(f"Batch-size histogram (size×count): {rendered}")
-                resilience = _stats_block(serving, "resilience")
-                if resilience:
-                    lines.append("")
-                    lines.append(
-                        "Resilience: "
-                        f"{resilience.get('worker_restarts', 0)} worker restarts, "
-                        f"{resilience.get('task_retries', 0)} task retries, "
-                        f"{resilience.get('timeouts', 0)} timeouts, "
-                        f"{resilience.get('sheds', 0)} shed requests, "
-                        f"{resilience.get('checkpoints', 0)} checkpoints"
-                    )
-        demand = scenarios.get("demand_queries")
-        if isinstance(demand, Mapping):
-            magic = _stats_block(demand, "magic")
-            # older captures have no demand scenario; render only when the
-            # magic block is actually there so baselines keep comparing
-            if magic:
-                speedup = demand.get("speedup_demand_vs_materialized")
-                lines.append("")
-                lines.append("### Magic-set stats (demand_queries)")
-                lines.append("")
-                lines.append(
-                    "| Queries | Adorned rules | Magic rules | Magic facts "
-                    "| Predicates touched | Speedup vs materialized |"
-                )
-                lines.append("| ---: | ---: | ---: | ---: | ---: | ---: |")
-                lines.append(
-                    f"| {demand.get('queries', '–')} "
-                    f"| {magic.get('adorned_rules', '–')} "
-                    f"| {magic.get('magic_rules', '–')} "
-                    f"| {magic.get('magic_facts', '–')} "
-                    f"| {magic.get('predicates_touched', '–')}/"
-                    f"{magic.get('predicates_total', '–')} "
-                    f"| {f'{speedup}x' if speedup else '–'}"
-                    + ("" if demand.get("agreement", True) else " (DISAGREEMENT!)")
-                    + " |"
-                )
-        store_rows = []
-        for name in (
-            "end_to_end",
-            "incremental_updates",
-            "churn",
-            "demand_queries",
-        ):
-            scenario = scenarios.get(name)
-            if not isinstance(scenario, Mapping):
-                continue
-            block = _stats_block(scenario, "fact_store")
-            # older captures have no fact_store block; render only what is
-            # actually there so baselines keep comparing
-            if not block.get("rows"):
-                continue
-            store_rows.append(
-                f"| {name} | {block.get('stores', '–')} "
-                f"| {block.get('term_table_size', '–')} "
-                f"| {block.get('rows', '–')} "
-                f"| {block.get('index_entries', '–')} "
-                f"| {block.get('index_memory_bytes', '–')} "
-                f"| {block.get('encode_calls', '–')}/"
-                f"{block.get('decode_calls', '–')} |"
-            )
-        if store_rows:
-            lines.append("")
-            lines.append("### Fact-store stats (ID-encoded)")
-            lines.append("")
-            lines.append(
-                "| Scenario | Stores | Terms | Rows | Index entries "
-                "| Index bytes | Encode/decode |"
-            )
-            lines.append("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
-            lines.extend(store_rows)
-        segments = (
-            _stats_block(demand, "kb_segments")
-            if isinstance(demand, Mapping)
-            else {}
-        )
-        if segments:
-            lines.append("")
-            lines.append(
-                f"KB segment tier: {segments.get('file_bytes', '–')} bytes "
-                f"on disk, **{segments.get('predicates_loaded', '–')}/"
-                f"{segments.get('total_predicates', '–')}** predicate "
-                f"segments decoded "
-                f"({segments.get('load_wall_seconds', '–')}s) after one cold "
-                "demand answer."
-            )
-    if isinstance(baseline, Mapping) and "error" in baseline:
-        lines.append("")
-        lines.append(f"**Baseline comparison failed:** {baseline['error']}")
-    lines.append("")
-    return "\n".join(lines)
 
 
 def full_figure_report(records: Sequence[RunRecord], title: str) -> str:

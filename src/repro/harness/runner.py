@@ -137,38 +137,6 @@ class BenchmarkRunner:
         return tuple(records)
 
 
-def run_perf_capture(
-    smoke: bool = False,
-    output_path: "str | None" = "BENCH_rewriting.json",
-    baseline: "Optional[dict]" = None,
-    scenarios: "Optional[Sequence[str]]" = None,
-):
-    """Perf-capture mode: run the recorded benchmark scenarios and persist JSON.
-
-    The single composition of :mod:`repro.harness.perfcapture` used by the
-    CLI (``python -m repro perf``) and available programmatically: capture
-    (optionally only the ``scenarios`` named — ``perf --scenario``), compare
-    against a previously recorded payload, write the JSON (unless
-    ``output_path`` is ``None``), return the payload.
-    """
-    from .perfcapture import (
-        capture_perf,
-        compare_captures,
-        compare_scenario_statuses,
-        write_bench_json,
-    )
-
-    payload = capture_perf(smoke=smoke, scenarios=scenarios)
-    if baseline is not None:
-        payload["speedup_vs_baseline_file"] = compare_captures(payload, baseline)
-        status_changes = compare_scenario_statuses(payload, baseline)
-        if status_changes:
-            payload["scenario_status_vs_baseline"] = status_changes
-    if output_path is not None:
-        write_bench_json(payload, output_path)
-    return payload
-
-
 def run_on_tgds(
     tgds: Iterable[TGD],
     algorithm: str,

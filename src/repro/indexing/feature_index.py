@@ -4,7 +4,7 @@ A TGD ``τ1`` can subsume ``τ2`` only if the relations of ``τ1``'s body are a
 subset of those of ``τ2``'s body and the relations of ``τ1``'s head are a
 superset of those of ``τ2``'s head (and analogously for rules, whose heads
 are single atoms).  The index therefore stores each TGD/rule under the set of
-(clustered) relation symbols of its body and retrieves
+relation symbols of its body and retrieves
 
 * *subsuming candidates* of a query item: stored items whose body-relation
   set is a **subset** of the query's, post-filtered by the head condition;
@@ -22,7 +22,6 @@ from typing import Dict, FrozenSet, Generic, Iterable, Iterator, Optional, Tuple
 from ..logic.atoms import Predicate
 from ..logic.rules import Rule
 from ..logic.tgd import TGD
-from .clustering import RelationClustering
 from .set_trie import SetTrie
 
 Item = TypeVar("Item", TGD, Rule)
@@ -42,8 +41,7 @@ def _head_predicates(item: Clause) -> FrozenSet[Predicate]:
 class SubsumptionIndex(Generic[Item]):
     """Retrieves subsumption candidates among the stored TGDs/rules."""
 
-    def __init__(self, clustering: Optional[RelationClustering] = None) -> None:
-        self._clustering = clustering
+    def __init__(self) -> None:
         self._trie: SetTrie = SetTrie()
         self._features: Dict[Clause, Tuple[frozenset, FrozenSet[Predicate], FrozenSet[Predicate]]] = {}
         #: one-slot memo for the clause currently being queried, so the
@@ -55,9 +53,7 @@ class SubsumptionIndex(Generic[Item]):
     # feature computation
     # ------------------------------------------------------------------
     def _body_key(self, predicates: FrozenSet[Predicate]) -> frozenset:
-        if self._clustering is None:
-            return frozenset((pred.name, pred.arity) for pred in predicates)
-        return self._clustering.clusters_of(predicates)
+        return frozenset((pred.name, pred.arity) for pred in predicates)
 
     def _features_of(self, item: Clause, store: bool = False):
         """Feature tuple of ``item``; cached only for stored items.

@@ -243,8 +243,8 @@ class FactSegments:
     are split and decoded to interned atoms on first access and cached.
     ``predicates_loaded`` counts the segments actually decoded so far and
     ``load_wall_seconds`` accumulates the wall time spent decoding — the
-    perf harness surfaces both, and the lazy-loading test asserts a bound
-    demand query finishes with ``predicates_loaded < total_predicates``.
+    lazy-loading test asserts a bound demand query finishes with
+    ``predicates_loaded < total_predicates``.
     """
 
     __slots__ = (
@@ -366,7 +366,7 @@ class FactSegments:
         return self.total_facts
 
     def stats(self) -> Dict[str, object]:
-        """The ``kb_segments`` stats block surfaced by the perf harness."""
+        """Segment-tier counters: predicates decoded so far and decode time."""
         return {
             "total_predicates": self.total_predicates,
             "predicates_loaded": self.predicates_loaded,

@@ -22,7 +22,8 @@ enumeration here is routed through the shared constraint-propagating solver
 pair collapse the variable classes first, and only the satisfying bounded
 substitutions are materialized — the *set* of derived TGDs is unchanged, but
 the cartesian search over every body variable is gone, which is what lets
-the FullDR comparison scenario finish Example E.3 within its timeout.
+the FullDR comparison (``benchmarks/bench_fulldr.py``) finish Example E.3
+within its timeout.
 """
 
 from __future__ import annotations

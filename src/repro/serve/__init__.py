@@ -25,7 +25,7 @@ Requests flow through four layers, each its own module::
 **Front end** (:mod:`.server`): an asyncio server accepts NDJSON requests
 over TCP (``python -m repro serve``) or in process
 (:meth:`~repro.serve.server.ReasoningServer.local_client`, used by tests
-and the perf harness so both paths exercise identical code).  Requests
+and the repository benchmark so both paths exercise identical code).  Requests
 carry an ``id`` echoed in the response, so clients pipeline freely.
 
 **Micro-batching** (:mod:`.batcher`): every request lands in a per-KB
@@ -92,10 +92,11 @@ length and checkpoint count, plus a ``resilience`` block (restarts,
 retries, timeouts, sheds) and a ``fault_injection`` block when a
 :class:`~repro.serve.faults.FaultPlan` is installed.
 
-The serving-side performance story is measured by the
-``serving_throughput`` perf scenario (see :mod:`repro.harness.perfcapture`)
-and guarded by concurrency tests plus hypothesis properties stating that
-no interleaving of cached answers, mutations, and injected worker kills
+Serving latency is measured by the serve phase of the repository
+benchmark (``perfbench/``: open-loop traffic with mutations, every answer
+checked against ``KnowledgeBase.answer_many``), and correctness is guarded
+by concurrency tests plus hypothesis properties stating that no
+interleaving of cached answers, mutations, and injected worker kills
 serves a stale or lost result.
 """
 

@@ -22,7 +22,7 @@ unbounded backlog grow latency without limit.  Requests already admitted
 are always served (or time out against their own deadlines).
 
 :class:`BatcherStats` records the batch-size histogram and the dedup
-savings that the ``serving_throughput`` perf scenario reports.
+savings that the server's ``stats`` op reports.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ class BatcherStats:
         self.timeouts += 1
 
     def snapshot(self) -> Dict[str, object]:
-        """A JSON-ready view for the stats endpoint and the perf capture."""
+        """A JSON-ready view for the stats endpoint."""
         return {
             "batches": self.batches,
             "requests": self.requests,

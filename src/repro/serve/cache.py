@@ -169,7 +169,7 @@ class AnswerCache:
             return len(self._entries)
 
     def stats(self) -> Dict[str, object]:
-        """Counters for the server's stats endpoint and the perf capture."""
+        """Counters for the server's stats endpoint."""
         with self._lock:
             total = self._hits + self._misses
             return {

@@ -131,7 +131,7 @@ class _KBState:
         #: the surviving base facts as canonical fact lines — the front end
         #: folds every applied mutation in, so a checkpoint is one snapshot
         #: of this set (a session materialized from it equals a session
-        #: that replayed the full history; the churn scenario pins that)
+        #: that replayed the full history; the checkpoint tests pin that)
         self.base_lines: Set[str] = {
             line for line in facts_text.splitlines() if line
         }
@@ -578,7 +578,7 @@ class ReasoningServer:
     # stats endpoint
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """The JSON stats block (``op: stats`` and the perf capture)."""
+        """The JSON stats block (``op: stats``)."""
         kbs: Dict[str, object] = {}
         merged = BatcherStats()
         merged_evaluated_by_strategy: Dict[str, int] = {}
@@ -778,8 +778,8 @@ class _ClientOps:
 class LocalClient(_ClientOps):
     """In-process client: protocol dicts straight into ``handle_request``.
 
-    The test and perf-capture client — same code path as TCP minus the
-    socket framing.
+    The client of the tests and the repository benchmark — same code path
+    as TCP minus the socket framing.
     """
 
     def __init__(self, server: ReasoningServer) -> None:

@@ -7,7 +7,7 @@ implement one interface:
 * :class:`InlineWorkerTier` — the work runs in this process on a thread
   (``asyncio.to_thread``), serialized by a lock (the fact-store's lazily
   built indexes are not thread-safe).  Zero setup cost; the default for
-  tests, the perf capture, and single-core boxes.
+  tests, the repository benchmark, and single-core boxes.
 * :class:`PoolWorkerTier` — a :class:`~concurrent.futures.ProcessPoolExecutor`
   whose workers each hold *warm sessions*: the first task touching a KB in
   a worker process materializes it once, and every later task reuses the

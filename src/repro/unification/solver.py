@@ -49,9 +49,10 @@ Reading the solver stats block
 
 Every solve accumulates into a module-global :class:`MatchSolverStats`
 (snapshot via :func:`match_solver_stats`, zeroed via
-:func:`reset_match_solver_stats`).  The perf capture resets the counters
-around the ``fulldr_comparison`` scenario and records the snapshot as its
-``match_solver`` block in ``BENCH_rewriting.json``:
+:func:`reset_match_solver_stats`).  The repository benchmark
+(``perfbench/``) diffs two snapshots around each rewriting pass and reports
+``solves`` and ``nodes_expanded`` as its ``unification.solver.*`` per-layer
+metrics:
 
 * ``solves`` — solver invocations (one per conjunction solved);
 * ``solutions`` — substitutions enumerated across all invocations;
@@ -126,8 +127,7 @@ class MatchSolverStats:
         }
 
 
-#: module-global accumulator; the perf capture snapshots/resets it around the
-#: scenarios it reports on
+#: module-global accumulator; callers snapshot it around the work they measure
 GLOBAL_MATCH_SOLVER_STATS = MatchSolverStats()
 
 

@@ -14,6 +14,8 @@ from repro.logic.atoms import Atom, Predicate
 from repro.logic.parser import parse_program
 from repro.logic.rules import Rule
 from repro.logic.terms import Constant, FunctionSymbol, FunctionTerm, Variable
+from repro.workloads.instances import generate_instance
+from repro.workloads.ontology_suite import generate_suite
 
 
 P = Predicate("P", 1)
@@ -111,6 +113,7 @@ class TestSemiNaiveLoop:
         assert stats.rounds == rounds > 1
         assert stats.delta_facts == len(facts) - len(program.instance)
         assert stats.max_delta >= 1
+        assert stats.join.probes > 0  # the recursive join ran as a hash join
 
     def test_depth_bound_counts_pruned_facts(self):
         program = parse_program(
@@ -155,6 +158,21 @@ class TestSemiNaiveMatchesNaive:
             naive = chase.run_naive_reference(instance)
             assert semi.facts == naive.facts, depth
             assert semi.saturated == naive.saturated, depth
+
+    def test_ontology_suite_at_a_truncating_depth(self):
+        suite = generate_suite(count=2, seed=2022, min_axioms=10, max_axioms=14)
+        for item in suite:
+            instance = generate_instance(
+                item.tgds, fact_count=50, constant_count=20, seed=int(item.identifier)
+            )
+            chase = SkolemChase(item.tgds, max_term_depth=2)
+            semi = chase.run(instance)
+            naive = chase.run_naive_reference(instance)
+            assert semi.facts == naive.facts, item.identifier
+            assert semi.saturated == naive.saturated, item.identifier
+            stats = semi.plan_stats
+            assert stats["rounds"] > 0 and stats["probes"] > 0, item.identifier
+            assert stats["delta_facts"] == len(semi.facts) - len(instance) > 0
 
     def test_seed_atom_in_one_delta_each(self):
         # every derived fact enters exactly one delta

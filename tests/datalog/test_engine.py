@@ -291,6 +291,25 @@ class TestRetraction:
         assert result.join_stats is not None
         assert result.join_stats.get("deletion_batches", 0) > 0
 
+    def test_net_removal_is_bounded_by_the_overdeletion(self):
+        # DRed only removes what it retracted or over-deleted: whatever
+        # leaves the store was a suspect first, whether or not re-derivation
+        # then brings part of the suspects back
+        names = [chr(ord("a") + i) for i in range(8)]
+        edges = ". ".join(
+            f"Edge({left}, {right})" for left, right in zip(names, names[1:])
+        )
+        engine, store = self._closure_engine(
+            f"{edges}. Edge(a, e). Edge(e, b). Edge(h, a)."
+        )
+        for edge in ("Edge(c, d).", "Edge(a, e).", "Edge(h, a).", "Edge(a, b)."):
+            result = engine.retract(store, parse_facts(edge))
+            assert result.retracted_facts == 1
+            assert result.rounds > 0
+            assert 0 <= result.net_removed
+            assert result.net_removed <= result.retracted_facts + result.overdeleted
+            assert store.facts() == self._surviving_rebuild(store)
+
     def test_large_retraction_uses_batched_rederivation(self):
         # a long chain with a bypass edge: removing a middle edge over-deletes
         # far more than _REDERIVE_BATCH_THRESHOLD facts, steering the seed

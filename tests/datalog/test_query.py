@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datalog.engine import materialize
-from repro.datalog.index import FactStore
+from repro.datalog.store import FactStore
 from repro.datalog.query import (
     ConjunctiveQuery,
     QueryValidationError,

@@ -6,6 +6,9 @@ from repro.datalog import DatalogProgram, ReasoningSession, materialize
 from repro.datalog.query import parse_query
 from repro.logic.atoms import Predicate
 from repro.logic.parser import parse_fact, parse_facts, parse_program
+from repro.rewriting import rewrite
+from repro.workloads.instances import generate_instance
+from repro.workloads.ontology_suite import generate_suite
 
 CLOSURE = """
 Edge(?x, ?y) -> Reach(?x, ?y).
@@ -232,6 +235,54 @@ class TestRetractionBookkeeping:
         assert len(session.answer(query)) == 2
         session.retract_facts(parse_facts("Edge(a, b)."))
         assert len(session.answer(query)) == 1
+
+
+class TestUpdateWork:
+    """Incremental maintenance does work proportional to the change.
+
+    A broken delta seeding or over-deletion pass still reaches the right
+    fixpoint, only by redoing (nearly) full work, so these tests bound the
+    work itself.  ``rule_applications`` is counted instead of wall time or
+    join probes because it is the same on every machine and under every
+    hash seed.
+    """
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        """The larger ExbDR rewriting of a seeded suite, its sorted instance,
+        and the size of a 1% change."""
+        suite = generate_suite(count=2, seed=2022, min_axioms=12, max_axioms=24)
+        item, rewriting = max(
+            ((item, rewrite(item.tgds, algorithm="exbdr")) for item in suite),
+            key=lambda pair: pair[1].output_size,
+        )
+        assert rewriting.completed
+        instance = generate_instance(
+            item.tgds,
+            fact_count=1000,
+            constant_count=100,
+            seed=int(item.identifier),
+        )
+        facts = sorted(instance, key=str)
+        return DatalogProgram(rewriting.datalog_rules), facts, len(facts) // 100
+
+    def test_adding_one_percent_costs_a_tenth_of_a_full_run(self, workload):
+        program, facts, one_percent = workload
+        session = ReasoningSession(program, facts[:-one_percent])
+        update = session.add_facts(facts[-one_percent:])
+        full = materialize(program, facts)
+        assert update.rule_applications * 10 <= full.rule_applications
+        assert session.facts() == full.facts()
+
+    def test_retracting_one_percent_costs_half_a_rebuild(self, workload):
+        program, facts, one_percent = workload
+        base = facts[:-one_percent]
+        session = ReasoningSession(program, base)
+        retraction = session.retract_facts(base[:one_percent])
+        rebuild = materialize(program, base[one_percent:])
+        assert retraction.retracted_facts == one_percent
+        assert retraction.rule_applications * 2 <= rebuild.rule_applications
+        assert session.facts() == rebuild.facts()
 
 
 def _cold_session(facts="Edge(a, b). Edge(b, c)."):

@@ -18,8 +18,35 @@ from repro.harness.stats import (
     inputs_unprocessed_by_all,
     pairwise_slowdown_matrix,
     summarize,
+    summarize_algorithm,
 )
 from repro.workloads.ontology_suite import generate_suite, suite_statistics
+
+
+def _record(algorithm, input_id, seconds, *, size=10, output=10, body_atoms=1,
+            timed_out=False, unsupported=False):
+    return RunRecord(
+        algorithm=algorithm, input_id=input_id, input_size=size,
+        output_size=output, max_body_atoms=body_atoms, elapsed_seconds=seconds,
+        timed_out=timed_out, unsupported=unsupported,
+    )
+
+
+#: one algorithm's runs: three processed inputs (blow-ups 2.0, 1.0, 1.5), a
+#: timeout on the largest input and an unsupported input
+HANDCRAFTED = (
+    _record("exbdr", "i1", 0.4, size=10, output=20, body_atoms=3),
+    _record("exbdr", "i2", 0.1, size=8, output=8, body_atoms=2),
+    _record("exbdr", "i3", 0.2, size=12, output=18, body_atoms=4),
+    _record("exbdr", "i4", 9.0, size=50, output=0, body_atoms=0, timed_out=True),
+    _record("exbdr", "i5", 0.0, size=0, output=0, body_atoms=0, unsupported=True),
+)
+
+
+def _row(text, label):
+    """The cells after ``label`` on the line of a rendered table that starts with it."""
+    (line,) = [line for line in text.splitlines() if line.startswith(label)]
+    return line[len(label):].split()
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +103,31 @@ class TestRunner:
         )
         assert seen == [("hypdr", mini_suite[0].identifier)]
 
+    def test_requested_kaon2_is_not_run_twice(self, mini_suite):
+        runner = BenchmarkRunner(timeout_seconds=10.0, include_kaon2=True)
+        records = runner.run_suite(mini_suite[:1], algorithms=("hypdr", "KAON2"))
+        assert [record.algorithm for record in records] == ["hypdr", "KAON2"]
+
+    def test_as_dict_rounds_time_and_keeps_flags(self):
+        record = _record("skdr", "i9", 0.123456, unsupported=True)
+        assert record.as_dict() == {
+            "algorithm": "skdr",
+            "input_id": "i9",
+            "input_size": 10,
+            "output_size": 10,
+            "max_body_atoms": 1,
+            "elapsed_seconds": 0.1235,
+            "timed_out": False,
+            "unsupported": True,
+        }
+        assert not record.succeeded
+
+    def test_package_exports_resolve(self):
+        import repro.harness as harness
+
+        for name in harness.__all__:
+            assert getattr(harness, name) is not None, name
+
 
 class TestStats:
     def test_summaries_per_algorithm(self, mini_records):
@@ -116,6 +168,91 @@ class TestStats:
         matrix = pairwise_slowdown_matrix(records)
         assert matrix[("slow", "fast")] == 1
         assert matrix[("fast", "slow")] == 0
+
+    def test_summary_counts_only_processed_runs(self):
+        summary = summarize_algorithm("exbdr", HANDCRAFTED)
+        assert (summary.processed_inputs, summary.failed_inputs,
+                summary.unsupported_inputs) == (3, 1, 1)
+        # the timed-out run on the 50-TGD input sets no maximum
+        assert summary.max_processed_input_size == 12
+        assert summary.max_output_size == 20
+        assert summary.max_blowup == pytest.approx(2.0)
+        assert summary.max_body_atoms == 4
+        assert summary.blowup_at_least_1_5 == 2  # 2.0 and exactly 1.5
+        assert summary.min_time == pytest.approx(0.1)
+        assert summary.max_time == pytest.approx(0.4)
+        assert summary.avg_time == pytest.approx(0.7 / 3)
+        assert summary.median_time == pytest.approx(0.2)
+
+    def test_median_of_an_even_count_averages_the_middle_pair(self):
+        records = [_record("a", f"i{n}", seconds) for n, seconds in
+                   enumerate((0.1, 0.4, 0.2, 0.3))]
+        assert summarize_algorithm("a", records).median_time == pytest.approx(0.25)
+
+    def test_summary_without_processed_runs_is_zeroed(self):
+        records = [_record("a", "i1", 5.0, timed_out=True),
+                   _record("a", "i2", 5.0, timed_out=True)]
+        summary = summarize_algorithm("a", records)
+        assert summary.processed_inputs == 0
+        assert summary.failed_inputs == 2
+        assert summary.max_processed_input_size == 0
+        assert summary.max_blowup == 0.0
+        assert (summary.min_time, summary.max_time,
+                summary.avg_time, summary.median_time) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_summaries_are_ordered_by_algorithm_name(self):
+        records = [_record(name, "i1", 0.1) for name in ("skdr", "exbdr", "hypdr")]
+        assert [s.algorithm for s in summarize(records)] == ["exbdr", "hypdr", "skdr"]
+
+    def test_cactus_series_counts_processed_inputs_only(self):
+        series = cactus_series(HANDCRAFTED + (_record("b", "i1", 1.0, timed_out=True),))
+        assert series["exbdr"] == [(1, 0.1), (2, 0.2), (3, 0.4)]
+        assert series["b"] == []
+
+    def test_both_fail_matrix_counts_shared_timeouts(self):
+        records = [
+            _record("a", "i1", 1.0, timed_out=True),
+            _record("a", "i2", 1.0, timed_out=True),
+            _record("a", "i3", 0.1),
+            _record("b", "i1", 1.0, timed_out=True),
+            _record("b", "i2", 0.1),
+            _record("b", "i3", 1.0, timed_out=True),
+        ]
+        matrix = both_fail_matrix(records)
+        assert matrix[("a", "b")] == matrix[("b", "a")] == 1
+        # the diagonal is each algorithm's own timeout count
+        assert matrix[("a", "a")] == matrix[("b", "b")] == 2
+
+    def test_slowdown_matrix_skips_unsupported_and_failed_baselines(self):
+        records = [
+            # i1: the slow side is unsupported, not slower
+            _record("fast", "i1", 0.01),
+            _record("slow", "i1", 0.0, unsupported=True),
+            # i2: no baseline to be slower than when the fast side failed
+            _record("fast", "i2", 5.0, timed_out=True),
+            _record("slow", "i2", 5.0, timed_out=True),
+            # i3: only one side ran
+            _record("fast", "i3", 0.01),
+        ]
+        matrix = pairwise_slowdown_matrix(records)
+        assert matrix[("slow", "fast")] == 0
+        assert matrix[("fast", "slow")] == 0
+
+    def test_slowdown_factor_is_inclusive(self):
+        records = [
+            _record("x", "i1", 0.5), _record("y", "i1", 5.0),
+            _record("x", "i2", 0.5), _record("y", "i2", 4.99),
+        ]
+        assert pairwise_slowdown_matrix(records)[("y", "x")] == 1
+        assert pairwise_slowdown_matrix(records, factor=2.0)[("y", "x")] == 2
+
+    def test_inputs_unprocessed_by_the_considered_algorithms(self):
+        records = [
+            _record("a", "i1", 1.0, timed_out=True),
+            _record("b", "i1", 0.1),
+        ]
+        assert inputs_unprocessed_by_all(records) == ()
+        assert inputs_unprocessed_by_all(records, algorithms=("a",)) == ("i1",)
 
 
 class TestReports:
@@ -161,284 +298,49 @@ class TestReports:
         assert "00001" in text
         assert "4.5" in text
 
+    def test_end_to_end_ratio_of_an_empty_instance(self):
+        rows = [{"input_id": "00002", "rule_count": 3, "input_facts": 0,
+                 "output_facts": 7, "elapsed_seconds": 0.014}]
+        assert _row(end_to_end_report(rows), "00002") == ["3", "0", "7", "7.0", "0.01"]
 
-class TestPerfCapture:
-    def test_incremental_updates_scenario(self):
-        from repro.harness.perfcapture import capture_incremental_updates
+    def test_format_table_without_rows(self):
+        assert format_table(["col", "n"], []).splitlines() == ["col  n", "---  -"]
 
-        payload = capture_incremental_updates(
-            suite_size=2, max_axioms=20, top_k=1, fact_count=150, repeats=1
-        )
-        assert payload["rows"], "no completed rewriting to measure"
-        assert payload["all_consistent"], (
-            "delta propagation diverged from full re-materialization"
-        )
-        assert payload["speedup_delta_vs_full"] > 1.0
-        for row in payload["rows"]:
-            assert row["delta_facts"] >= 1
-            assert row["base_facts"] + row["delta_facts"] <= row["output_facts"]
-
-    def test_churn_scenario(self):
-        from repro.harness.perfcapture import capture_churn
-
-        payload = capture_churn(
-            suite_size=2, max_axioms=20, top_k=1, fact_count=150,
-            op_count=4, repeats=1,
-        )
-        assert payload["rows"], "no completed rewriting to measure"
-        assert payload["all_consistent"], (
-            "DRed retraction diverged from full re-materialization"
-        )
-        assert payload["speedup_churn_vs_full"] > 1.0
-        dred = payload["dred"]
-        assert dred["retracted"] > 0
-        assert dred["rounds"] > 0
-        # over-deletion never removes more than it first suspects
-        assert dred["net_removed"] <= dred["retracted"] + dred["overdeleted"]
-        for row in payload["rows"]:
-            assert row["ops"] >= 2
-            assert row["consistent"]
-
-    def test_skolem_chase_scenario(self):
-        from repro.harness.perfcapture import capture_skolem_chase
-
-        payload = capture_skolem_chase(
-            suite_size=2, max_axioms=14, fact_count=50, repeats=1
-        )
-        assert payload["rows"], "no chase input measured"
-        assert payload["all_consistent"], (
-            "semi-naive chase diverged from the naive reference"
-        )
-        assert payload["status"] == "completed"
-        assert payload["speedup_vs_pre_change"] is not None
-        chase_plan = payload["chase_plan"]
-        assert chase_plan["rounds"] > 0
-        assert chase_plan["probes"] > 0
-        assert chase_plan["delta_facts"] > 0
-        for row in payload["rows"]:
-            assert row["output_facts"] >= row["input_facts"]
-
-    def test_guarded_oracle_scenario(self):
-        from repro.harness.perfcapture import capture_guarded_oracle
-
-        payload = capture_guarded_oracle(suite_size=2, max_axioms=14, fact_count=30)
-        assert payload["rows"], "no oracle input measured"
-        assert payload["all_consistent"], (
-            "worklist engine diverged from the recursive reference"
-        )
-        assert payload["status"] == "completed"
-        assert payload["speedup_vs_pre_change"] is not None
-        chase_plan = payload["chase_plan"]
-        assert chase_plan["types_closed"] > 0
-        assert chase_plan["rounds"] > 0
-
-    def test_chase_blocks_render_in_reports(self):
-        from repro.harness.reports import perf_report, step_summary_markdown
-
-        payload = {
-            "scale": "smoke",
-            "wall_seconds": 1.0,
-            "scenarios": {
-                "skolem_chase": {
-                    "wall_seconds": 0.5,
-                    "status": "completed",
-                    "speedup_vs_pre_change": 7.5,
-                    "all_consistent": True,
-                    "chase_plan": {
-                        "rounds": 4,
-                        "max_delta": 12,
-                        "probes": 100,
-                        "probe_hits": 150,
-                    },
-                },
-                "guarded_oracle": {
-                    "wall_seconds": 0.5,
-                    "status": "completed",
-                    "speedup_vs_pre_change": 2.5,
-                    "all_consistent": False,
-                    "chase_plan": {
-                        "rounds": 6,
-                        "max_delta": 9,
-                        "types_closed": 11,
-                        "types_reused": 40,
-                        "imports": 3,
-                    },
-                },
-            },
+    def test_table1_report_values(self):
+        statistics = {
+            "full": {"min": 1, "max": 9, "avg": 4.34, "med": 4.0},
+            "non_full": {"min": 0, "max": 3, "avg": 1.26, "med": 1.5},
         }
-        text = perf_report(payload)
-        assert "7.5x faster than the naive loop" in text
-        assert "2.5x faster than tree re-walks" in text
-        assert "INCONSISTENT" in text  # the guarded block must surface it
-        markdown = step_summary_markdown(payload)
-        assert "Chase-plan stats" in markdown
-        assert "| skolem_chase | 4 | 12 |" in markdown
-        assert "11 types closed / 40 reused" in markdown
+        full, non_full = table1_report(statistics, 12).splitlines()[-2:]
+        assert full.split() == ["12", "Full", "TGDs", "1", "9", "4.3", "4.0"]
+        assert non_full.split() == ["12", "Non-Full", "TGDs", "0", "3", "1.3", "1.5"]
 
-    def test_inconsistent_run_renders_even_without_a_speedup(self):
-        # a diverged run whose ratio came out falsy (None/0.0) must still
-        # surface the INCONSISTENT warning in both report formats
-        from repro.harness.reports import perf_report, step_summary_markdown
+    def test_figure_summary_report_values(self):
+        text = figure_summary_report(HANDCRAFTED, "Figure 4")
+        assert _row(text, "Metric") == ["exbdr"]
+        assert _row(text, "# of Processed Inputs") == ["3"]
+        assert _row(text, "Max. Processed Input Size") == ["12"]
+        assert _row(text, "Max. Size Blowup") == ["2.0"]
+        assert _row(text, "# Blowup >= 1.5") == ["2"]
+        assert _row(text, "Time (s) Avg.") == ["0.233"]
+        assert _row(text, "Time (s) Med.") == ["0.2"]
 
-        payload = {
-            "scale": "smoke",
-            "wall_seconds": 1.0,
-            "scenarios": {
-                "skolem_chase": {
-                    "wall_seconds": 0.5,
-                    "status": "completed",
-                    "speedup_vs_pre_change": None,
-                    "all_consistent": False,
-                    "chase_plan": {"rounds": 0, "max_delta": 0, "probes": 0},
-                },
-            },
-        }
-        assert "INCONSISTENT" in perf_report(payload)
-        assert "INCONSISTENT" in step_summary_markdown(payload)
+    def test_cactus_report_always_plots_the_slowest_input(self):
+        records = [_record("a", f"i{n}", n / 10) for n in range(1, 7)]
+        text = cactus_report(records, points=2)
+        # every third point, then the sixth (slowest) one appended
+        assert "  a: 1@0.10s, 4@0.40s, 6@0.60s" in text.splitlines()
 
-    def test_compare_captures_reports_ratios(self):
-        from repro.harness.perfcapture import compare_captures
+    def test_cactus_report_names_algorithms_without_processed_inputs(self):
+        records = [_record("a", "i1", 1.0, timed_out=True)]
+        assert "  a: no processed inputs" in cactus_report(records).splitlines()
 
-        current = {
-            "scale": "smoke",
-            "scenarios": {"end_to_end": {"wall_seconds": 1.0}},
-        }
-        previous = {
-            "scale": "smoke",
-            "scenarios": {"end_to_end": {"wall_seconds": 2.0}},
-        }
-        assert compare_captures(current, previous) == {"end_to_end": 2.0}
-
-    def test_compare_captures_rejects_scale_mismatch(self):
-        from repro.harness.perfcapture import compare_captures
-
-        result = compare_captures({"scale": "smoke"}, {"scale": "default"})
-        assert "error" in result
-
-    def test_compare_captures_skips_status_changed_scenarios(self):
-        # a scenario that used to time out and now completes measures
-        # different work: no ratio must be reported for it (it would read
-        # as a wall-time regression), only the status transition
-        from repro.harness.perfcapture import (
-            compare_captures,
-            compare_scenario_statuses,
-        )
-
-        current = {
-            "scale": "default",
-            "scenarios": {
-                "fulldr_comparison": {
-                    "wall_seconds": 4.0,
-                    "status": "completed",
-                },
-                "end_to_end": {"wall_seconds": 1.0, "status": "completed"},
-            },
-        }
-        previous = {
-            "scale": "default",
-            "scenarios": {
-                "fulldr_comparison": {
-                    "wall_seconds": 2.0,
-                    "status": "timed_out",
-                },
-                "end_to_end": {"wall_seconds": 2.0, "status": "completed"},
-            },
-        }
-        assert compare_captures(current, previous) == {"end_to_end": 2.0}
-        assert compare_scenario_statuses(current, previous) == {
-            "fulldr_comparison": {
-                "baseline": "timed_out",
-                "current": "completed",
-            }
-        }
-
-    def test_compare_scenario_statuses_ignores_captures_without_flags(self):
-        from repro.harness.perfcapture import compare_scenario_statuses
-
-        current = {
-            "scenarios": {"end_to_end": {"wall_seconds": 1.0, "status": "completed"}}
-        }
-        previous = {"scenarios": {"end_to_end": {"wall_seconds": 2.0}}}
-        assert compare_scenario_statuses(current, previous) == {}
-
-    def test_status_inferred_from_pre_flag_completed_booleans(self):
-        # baselines captured before the status flag existed (the old
-        # committed BENCH, CI merge-base captures of pre-flag code) still
-        # carry per-algorithm completed booleans; the exclusion and the
-        # status report must work against them
-        from repro.harness.perfcapture import (
-            compare_captures,
-            compare_scenario_statuses,
-        )
-
-        previous = {
-            "scale": "default",
-            "scenarios": {
-                "fulldr_comparison": {
-                    "wall_seconds": 9.0,
-                    "inputs": {
-                        "example-E.3": {
-                            "fulldr": {"wall_seconds": 8.0, "completed": False},
-                            "hypdr": {"wall_seconds": 0.1, "completed": True},
-                        }
-                    },
-                }
-            },
-        }
-        current = {
-            "scale": "default",
-            "scenarios": {
-                "fulldr_comparison": {"wall_seconds": 1.2, "status": "completed"}
-            },
-        }
-        assert compare_captures(current, previous) == {}
-        assert compare_scenario_statuses(current, previous) == {
-            "fulldr_comparison": {
-                "baseline": "timed_out",
-                "current": "completed",
-            }
-        }
-
-    def test_capture_perf_scenario_filter(self):
-        from repro.harness.perfcapture import capture_perf
-
-        payload = capture_perf(smoke=True, scenarios=["fulldr_comparison"])
-        assert list(payload["scenarios"]) == ["fulldr_comparison"]
-        assert payload["scenario_filter"] == ["fulldr_comparison"]
-        scenario = payload["scenarios"]["fulldr_comparison"]
-        assert scenario["status"] in ("completed", "timed_out")
-        assert scenario["match_solver"]["solves"] > 0
-
-    def test_capture_perf_rejects_unknown_scenario(self):
-        from repro.harness.perfcapture import capture_perf
-
-        with pytest.raises(ValueError, match="unknown perf scenario"):
-            capture_perf(smoke=True, scenarios=["no_such_scenario"])
-
-    def test_cli_scenario_choices_match_harness(self):
-        # the CLI inlines the names so building the parser stays free of
-        # harness imports; the two tuples must not drift apart
-        from repro.cli import PERF_SCENARIO_NAMES
-        from repro.harness.perfcapture import SCENARIO_NAMES
-
-        assert PERF_SCENARIO_NAMES == SCENARIO_NAMES
-
-    def test_gate_fails_on_newly_timed_out_scenario(self):
-        from repro.cli import _newly_timed_out_scenarios
-
-        payload = {
-            "scenario_status_vs_baseline": {
-                "fulldr_comparison": {
-                    "baseline": "completed",
-                    "current": "timed_out",
-                },
-                "end_to_end": {
-                    "baseline": "timed_out",
-                    "current": "completed",
-                },
-            }
-        }
-        # completed -> timed_out must trip the gate; the inverse flip is an
-        # improvement and must not
-        assert _newly_timed_out_scenarios(payload) == ["fulldr_comparison"]
-        assert _newly_timed_out_scenarios({}) == []
+    def test_pairwise_report_blank_diagonal_and_factor(self):
+        records = [_record("x", "i1", 0.1), _record("y", "i1", 0.3)]
+        text = pairwise_report(records, factor=2.0)
+        assert text.startswith("time(Y)/time(X) >= 2\n")
+        slowdown, failures = text.split("\n\nX and Y both fail\n")
+        # y is 3x slower than x; each row has one cell because the diagonal is blank
+        assert _row(slowdown, "x") == ["0"]
+        assert _row(slowdown, "y") == ["1"]
+        assert _row(failures, "x") == ["0", "0"]

@@ -1,6 +1,5 @@
-"""Unit tests for the feature-vector subsumption index and relation clustering."""
+"""Unit tests for the feature-vector subsumption index."""
 
-from repro.indexing.clustering import RelationClustering
 from repro.indexing.feature_index import SubsumptionIndex
 from repro.logic.atoms import Predicate
 from repro.logic.parser import parse_tgd, parse_tgds
@@ -69,42 +68,38 @@ class TestSubsumptionIndex:
             index.add(tgd)
         assert set(index.items()) == set(tgds)
 
+    def test_same_name_different_arity_is_another_relation(self):
+        # bodies are keyed on (name, arity): A/1 is not a subset of {A/2}
+        index = SubsumptionIndex()
+        unary = parse_tgd("A(?x) -> B(?x).")
+        index.add(unary)
+        query = parse_tgd("A(?x, ?y) -> B(?x).")
+        assert unary not in set(index.subsuming_candidates(query))
+        assert unary not in set(index.subsumed_candidates(query))
 
-class TestClustering:
-    def test_identity_clustering(self):
-        clustering = RelationClustering.identity([A, B, C])
-        assert len({clustering.cluster_of(p) for p in (A, B, C)}) == 3
+    def test_removed_items_are_no_longer_candidates(self):
+        index = SubsumptionIndex()
+        general = parse_tgd("A(?x) -> B(?x).")
+        specific = parse_tgd("A(?x), C(?x) -> B(?x).")
+        index.add(general)
+        index.add(specific)
+        index.remove(general)
+        assert general not in set(index.subsuming_candidates(specific))
+        assert set(index.subsumed_candidates(general)) == {specific}
 
-    def test_from_input_respects_requested_count(self):
-        tgds = parse_tgds(
-            """
-            A(?x) -> B(?x).
-            B(?x) -> C(?x).
-            C(?x) -> D(?x).
-            D(?x) -> E(?x).
-            """
-        )
-        clustering = RelationClustering.from_input(tgds, cluster_count=2)
-        clusters = {clustering.cluster_of(atom.predicate)
-                    for tgd in tgds for atom in tgd.body + tgd.head}
-        assert clusters <= {0, 1}
+    def test_queried_clauses_do_not_become_members(self):
+        index = SubsumptionIndex()
+        index.add(parse_tgd("A(?x) -> B(?x)."))
+        query = parse_tgd("A(?x), C(?x) -> B(?x).")
+        list(index.subsuming_candidates(query))
+        list(index.subsumed_candidates(query))
+        assert query not in index
+        assert len(index) == 1
 
-    def test_unknown_predicates_get_fresh_clusters(self):
-        clustering = RelationClustering.from_input([], cluster_count=1)
-        first = clustering.cluster_of(A)
-        second = clustering.cluster_of(B)
-        assert first != second
-
-    def test_index_with_clustering_still_finds_candidates(self):
-        tgds = parse_tgds(
-            """
-            A(?x) -> B(?x).
-            A(?x), C(?x) -> B(?x).
-            """
-        )
-        clustering = RelationClustering.from_input(tgds, cluster_count=1)
-        index = SubsumptionIndex(clustering)
-        index.add(tgds[0])
-        # with a single cluster every stored item is a candidate, but the
-        # post-filter on true predicate sets still applies
-        assert tgds[0] in set(index.subsuming_candidates(tgds[1]))
+    def test_removing_an_absent_item_is_a_no_op(self):
+        index = SubsumptionIndex()
+        stored = parse_tgd("A(?x) -> B(?x).")
+        index.add(stored)
+        index.remove(parse_tgd("C(?x) -> B(?x)."))
+        assert stored in index
+        assert len(index) == 1

@@ -32,6 +32,17 @@ def facts_file(tmp_path):
     return path
 
 
+class TestHelp:
+    def test_help_lists_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert (
+            "{rewrite,materialize,entails,stats,compile,load,serve-batch,serve}"
+            in capsys.readouterr().out
+        )
+
+
 class TestRewriteCommand:
     def test_rewrite_to_stdout(self, dependency_file, capsys):
         exit_code = main(["rewrite", str(dependency_file), "--algorithm", "hypdr"])

@@ -26,7 +26,7 @@ def _check_seed(seed: int, config: RandomGTGDConfig, algorithms=ALGORITHMS,
     expected = certain_base_facts(instance, tgds)
     for algorithm in algorithms:
         kb = KnowledgeBase.compile(tgds, algorithm=algorithm, settings=settings)
-        actual = kb.certain_base_facts(instance)
+        actual = kb.session(instance).certain_base_facts()
         assert actual == expected, (
             f"seed {seed}, algorithm {algorithm}: "
             f"missing {expected - actual}, extra {actual - expected}"
@@ -137,5 +137,5 @@ class TestOntologySuiteInputs:
         answers = {}
         for algorithm in ALGORITHMS:
             kb = KnowledgeBase.compile(item.tgds, algorithm=algorithm)
-            answers[algorithm] = kb.certain_base_facts(instance)
+            answers[algorithm] = kb.session(instance).certain_base_facts()
         assert answers["exbdr"] == answers["skdr"] == answers["hypdr"]

@@ -28,7 +28,7 @@ class TestExample11And12:
         tgds, instance = cim_example()
         kb = KnowledgeBase.compile(tgds, algorithm=algorithm)
         equipment = Predicate("Equipment", 1)
-        facts = kb.certain_base_facts(instance)
+        facts = kb.session(instance).certain_base_facts()
         assert equipment(Constant("sw1")) in facts
         assert equipment(Constant("sw2")) in facts
 
@@ -94,7 +94,7 @@ class TestExample43And46:
             "A(a, b). A(b, c). A(c, c). B(d, e). D(d, e). E(f)."
         ).instance
         kb = KnowledgeBase.compile(tgds, algorithm=algorithm)
-        assert kb.certain_base_facts(instance) == certain_base_facts(instance, tgds)
+        assert kb.session(instance).certain_base_facts() == certain_base_facts(instance, tgds)
 
 
 class TestExample56And511Artifacts:
@@ -147,4 +147,4 @@ class TestAllAlgorithmsAgreeOnAllExamples:
         tgds, instance = running_example()
         expected = certain_base_facts(instance, tgds)
         kb = KnowledgeBase.compile(tgds, algorithm=algorithm)
-        assert kb.certain_base_facts(instance) == expected
+        assert kb.session(instance).certain_base_facts() == expected

@@ -51,7 +51,9 @@ class TestSaveLoadRoundTrip:
         assert loaded.rewriting.completed == kb.rewriting.completed
         instance = parse_program(CIM_FACTS).instance
         query = parse_query("Equipment(?x)")
-        assert loaded.answer(query, instance) == kb.answer(query, instance)
+        assert loaded.answer_many([query], instance) == kb.answer_many(
+            [query], instance
+        )
 
     def test_round_trip_preserves_statistics(self, tmp_path):
         program = parse_program(CIM)
@@ -79,8 +81,9 @@ class TestSaveLoadRoundTrip:
             instance = generate_instance(
                 item.tgds, fact_count=120, constant_count=30, seed=1
             )
-            assert loaded.certain_base_facts(instance) == kb.certain_base_facts(
-                instance
+            assert (
+                loaded.session(instance).certain_base_facts()
+                == kb.session(instance).certain_base_facts()
             ), item.identifier
 
     def test_saved_file_is_versioned_json(self, tmp_path):

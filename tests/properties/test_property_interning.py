@@ -17,10 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.atoms import Atom, Predicate
+from repro.logic.interning import intern_stats, reset_intern_counters
 from repro.logic.normal_form import normalize_tgd
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, FunctionSymbol, FunctionTerm, Variable
 from repro.logic.tgd import TGD
+from repro.rewriting import rewrite
+from repro.workloads.ontology_suite import generate_suite
 
 from .strategies import atoms, constants, guarded_tgds, variables
 
@@ -125,3 +128,15 @@ class TestOperationsPreserveInterning:
             assert renamed_once is not tgd
         assert len(renamed_once.body) == len(tgd.body)
         assert len(renamed_once.head) == len(tgd.head)
+
+
+class TestInterningPaysOff:
+    def test_most_constructions_during_saturation_are_hits(self):
+        # saturation rebuilds the same atoms and clauses over and over; if
+        # the constructors stopped returning interned values, most of them
+        # would miss
+        suite = generate_suite(count=2, seed=2022, min_axioms=12, max_axioms=24)
+        reset_intern_counters()
+        for item in suite:
+            rewrite(item.tgds, algorithm="exbdr")
+        assert intern_stats()["overall"]["hit_rate"] > 0.5

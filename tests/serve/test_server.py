@@ -123,6 +123,9 @@ class TestBasicServing:
         for block in ("answer_cache", "batching", "workers"):
             assert block in stats
         assert stats["batching"]["batches"] >= 1
+        # a clean run needs no recovery machinery
+        for key in ("worker_restarts", "task_retries", "timeouts", "sheds"):
+            assert stats["resilience"][key] == 0, key
 
 
 class TestCachingAndBatching:
