@@ -217,7 +217,6 @@ def _statistics_from_json(data: object) -> SaturationStatistics:
     for field_name in (
         "input_size",
         "derived",
-        "inferences",
         "discarded_tautology",
         "discarded_forward",
         "discarded_duplicate",

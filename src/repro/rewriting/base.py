@@ -62,11 +62,17 @@ class RewritingSettings:
 
 @dataclass
 class SaturationStatistics:
-    """Counters describing a saturation run (reported by the benchmark harness)."""
+    """Counters describing a saturation run (reported by the benchmark harness).
+
+    ``derived`` counts the head-normalized inference results offered to the
+    redundancy checks.  ExbDR skips results that are variants of their
+    non-full premise before building them, because admission would always
+    discard them (see :mod:`repro.rewriting.exbdr`), so its ``derived`` does
+    not count those.
+    """
 
     input_size: int = 0
     derived: int = 0
-    inferences: int = 0
     discarded_tautology: int = 0
     discarded_forward: int = 0
     discarded_duplicate: int = 0
@@ -90,7 +96,6 @@ class SaturationStatistics:
         return {
             "input_size": self.input_size,
             "derived": self.derived,
-            "inferences": self.inferences,
             "discarded_tautology": self.discarded_tautology,
             "discarded_forward": self.discarded_forward,
             "discarded_duplicate": self.discarded_duplicate,
@@ -120,6 +125,10 @@ class InferenceRule(abc.ABC, Generic[ClauseT]):
         self.sigma_head_width: int = 0
         self.sigma_body_width: int = 0
         self.sigma_constant_count: int = 0
+        #: set by a rule that dropped inferences to stay within a cap (ExbDR's
+        #: ``max_combinations``); the saturation then reports its result as
+        #: not completed
+        self.truncated = False
 
     # ------------------------------------------------------------------
     # hooks implemented by each algorithm

@@ -75,6 +75,8 @@ class Saturation(Generic[ClauseT]):
         except SaturationTimeout:
             completed = False
             self.statistics.timed_out = True
+        if self.inference.truncated:
+            completed = False
         self.statistics.elapsed_seconds = time.monotonic() - start
         self.statistics.retained = len(self._worked_off)
         datalog = self.inference.extract_datalog(tuple(self._worked_off))

@@ -63,6 +63,19 @@ class TestSaveLoadRoundTrip:
         restored = loaded.rewriting.statistics.as_dict()
         assert restored == original
 
+    def test_file_with_the_retired_inferences_counter_loads(self, tmp_path):
+        """KB files saved while statistics carried ``inferences`` still load."""
+        program = parse_program(CIM)
+        kb = KnowledgeBase.compile(program.tgds, use_cache=False)
+        path = kb.save(tmp_path / "kb.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert "inferences" not in payload["statistics"]
+        payload["statistics"]["inferences"] = 0
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = KnowledgeBase.load(path)
+        assert loaded.rewriting.statistics.as_dict() == kb.rewriting.statistics.as_dict()
+        assert set(loaded.rewriting.datalog_rules) == set(kb.rewriting.datalog_rules)
+
     def test_round_trip_on_ontology_suite(self, tmp_path):
         """load(save(kb)) answers identically across synthetic ontologies."""
         suite = generate_suite(count=3, seed=7, min_axioms=12, max_axioms=24)

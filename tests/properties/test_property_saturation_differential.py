@@ -13,6 +13,11 @@ subsumption enabled the clause sets may legitimately differ by
 subsumption-equivalent representatives (processing order decides which
 representative survives), so the loops must agree *up to mutual
 subsumption*.
+
+The linear-scan ExbDR runs the plain reference kernel, and a second group of
+properties pins the memoized kernel to it: under every setting, a
+saturation with either kernel must retain exactly the same clauses and
+output exactly the same Datalog rules.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from repro.rewriting.saturation import Saturation
 from repro.rewriting.skdr import SkDR
 from repro.rewriting.subsumption import is_syntactic_tautology, subsumes
 from repro.workloads.random_gtgds import RandomGTGDConfig, generate_random_gtgds
+
+from ..reference_exbdr import ReferenceExbDR
 
 RELAXED = settings(
     max_examples=20,
@@ -51,8 +58,35 @@ CONFIG = RandomGTGDConfig(
 )
 
 
-class LinearScanExbDR(ExbDR):
-    """ExbDR with partner retrieval replaced by a full worked-off scan."""
+#: default, no subsumption, exact subsumption, no lookahead.  The clause
+#: cap bounds the rare inputs whose closure without subsumption runs to
+#: about a thousand clauses; both kernels retain the same clauses round by
+#: round, so they stop at the same round and still must agree exactly
+KERNEL_SETTINGS = tuple(
+    RewritingSettings(max_clauses=400, **overrides)
+    for overrides in (
+        {},
+        {"use_subsumption": False},
+        {"exact_subsumption": True},
+        {"use_lookahead": False},
+    )
+)
+
+#: wider heads than CONFIG, so non-full clauses grow several atoms and the
+#: kernel meets many premise variants
+KERNEL_CONFIG = RandomGTGDConfig(
+    predicate_count=5,
+    max_arity=2,
+    tgd_count=5,
+    max_body_atoms=2,
+    max_head_atoms=3,
+    existential_probability=0.6,
+    constant_count=1,
+)
+
+
+class LinearScanExbDR(ReferenceExbDR):
+    """Reference ExbDR with partner retrieval replaced by a full worked-off scan."""
 
     def infer(self, clause, worked_off):
         results = []
@@ -183,3 +217,17 @@ class TestIndexedLoopMatchesNaiveReference:
         )
         indexed = indexed_saturate(SkDR, sigma, SUBSUMING_SETTINGS)
         assert _mutually_subsuming(naive, indexed)
+
+
+class TestMemoizedKernelMatchesReference:
+    @RELAXED
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_retained_clauses_and_rules_identical_under_every_setting(self, seed):
+        sigma = generate_random_gtgds(KERNEL_CONFIG, seed=seed)
+        for settings_ in KERNEL_SETTINGS:
+            memoized = Saturation(ExbDR(settings_))
+            reference = Saturation(ReferenceExbDR(settings_))
+            memoized_rules = memoized.run(sigma).datalog_rules
+            reference_rules = reference.run(sigma).datalog_rules
+            assert memoized._worked_off == reference._worked_off, settings_
+            assert memoized_rules == reference_rules, settings_
