@@ -2,9 +2,11 @@
 
 The package implements Datalog rewriting of guarded tuple-generating
 dependencies (GTGDs) together with every substrate the paper relies on: a
-first-order logic layer, unification, the tree-like and one-pass chase, a
-semi-naive Datalog engine, clause indexing, a small description-logic front
-end, and workload generators for the paper's evaluation.
+first-order logic layer, unification, a semi-naive Datalog engine, clause
+indexing, a small description-logic front end, and workload generators for
+the paper's evaluation.  The chase (tree-like, guarded one-pass and
+depth-bounded Skolem) is the reference semantics the tests check the
+rewritings against; queries are answered through the rewriting.
 
 Quickstart::
 
@@ -59,11 +61,9 @@ from .logic import (
     parse_tgds,
 )
 from .rewriting import (
-    AlgorithmCapabilities,
     RewritingResult,
     RewritingSettings,
     available_algorithms,
-    register_algorithm,
     rewrite,
     rewrite_program,
 )
@@ -71,7 +71,6 @@ from .rewriting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgorithmCapabilities",
     "Atom",
     "ConjunctiveQuery",
     "Constant",
@@ -101,7 +100,6 @@ __all__ = [
     "parse_query",
     "parse_tgd",
     "parse_tgds",
-    "register_algorithm",
     "rewrite",
     "rewrite_program",
     "__version__",

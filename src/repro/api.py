@@ -4,8 +4,8 @@ The paper's intended deployment mode is to pay for the expensive saturation
 of Σ exactly once and then serve arbitrarily many instances, updates, and
 queries from the compiled rewriting.  This module is that surface:
 
-**Compile** — :meth:`KnowledgeBase.compile` rewrites the GTGDs with any
-registered algorithm (see :func:`repro.rewriting.available_algorithms`).
+**Compile** — :meth:`KnowledgeBase.compile` rewrites the GTGDs with one of
+the four algorithms (see :func:`repro.rewriting.available_algorithms`).
 Compilation is served from an in-process cache keyed by a canonical
 fingerprint of Σ (:mod:`repro.kb.cache`), so recompiling the same Σ — even
 with clauses reordered or variables renamed — is free.
@@ -80,7 +80,6 @@ from .logic.instance import Instance
 from .logic.terms import Term
 from .logic.tgd import TGD
 from .rewriting.base import RewritingResult, RewritingSettings
-from .rewriting.rewriter import rewrite
 
 
 @dataclass
@@ -132,19 +131,14 @@ class KnowledgeBase:
         tgds: Iterable[TGD],
         algorithm: str = "hypdr",
         settings: Optional[RewritingSettings] = None,
-        use_cache: bool = True,
     ) -> "KnowledgeBase":
         """Rewrite the GTGDs with the chosen algorithm.
 
         Repeated compilations of the same Σ (same algorithm and settings) are
-        served from the in-process compile cache; pass ``use_cache=False`` to
-        force a fresh saturation run (benchmarks, ablations).
+        served from the in-process compile cache.
         """
         tgds = tuple(tgds)
-        if use_cache:
-            result, _ = cached_rewrite(tgds, algorithm=algorithm, settings=settings)
-        else:
-            result = rewrite(tgds, algorithm=algorithm, settings=settings)
+        result, _ = cached_rewrite(tgds, algorithm=algorithm, settings=settings)
         return cls(tgds=tgds, rewriting=result)
 
     # ------------------------------------------------------------------

@@ -1,16 +1,15 @@
-"""The tree-like chase: chase trees, sequences, loops, and entailment oracles."""
+"""The chase as reference semantics: chase trees, sequences and loops, the
+exact guarded-chase oracle, and the depth-bounded Skolem chase."""
 
 from .guarded_engine import (
     GuardedChaseReasoner,
     ReferenceGuardedReasoner,
 )
 from .oracle import (
-    bounded_certain_base_facts,
     certain_base_facts,
     entails,
     oracle_agrees,
 )
-from .plans import ChasePlanStats, SkolemRulePlan, compile_chase_plans
 from .sequence import ChaseSequence, ChaseStepRecord, Loop
 from .skolem_chase import (
     SkolemChase,
@@ -22,7 +21,6 @@ from .tree import ChaseError, ChaseTree, ChaseVertex
 
 __all__ = [
     "ChaseError",
-    "ChasePlanStats",
     "ChaseSequence",
     "ChaseStepRecord",
     "ChaseTree",
@@ -32,10 +30,7 @@ __all__ = [
     "ReferenceGuardedReasoner",
     "SkolemChase",
     "SkolemChaseResult",
-    "SkolemRulePlan",
-    "bounded_certain_base_facts",
     "certain_base_facts",
-    "compile_chase_plans",
     "entails",
     "oracle_agrees",
     "skolem_chase_base_facts",

@@ -1,15 +1,11 @@
 """Entailment oracles used to validate the rewriting algorithms.
 
-Two oracles are provided:
-
-* :class:`repro.chase.guarded_engine.GuardedChaseReasoner` — a sound and
-  complete (but worst-case exponential) decision procedure based on type
-  closures; and
-* the depth-bounded Skolem chase — sound but only complete up to the chosen
-  depth; much cheaper, so useful as a quick cross-check.
-
-The helpers in this module pick sensible defaults and expose the oracle
-behind a single small interface.
+The helpers in this module expose
+:class:`repro.chase.guarded_engine.GuardedChaseReasoner` — a sound and
+complete (but worst-case exponential) decision procedure based on type
+closures — behind a single small interface.  The depth-bounded Skolem chase
+(:func:`repro.chase.skolem_chase.skolem_chase_base_facts`) is the cheaper,
+sound but only depth-complete cross-check.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from ..logic.atoms import Atom
 from ..logic.instance import Instance
 from ..logic.tgd import TGD
 from .guarded_engine import GuardedChaseReasoner
-from .skolem_chase import skolem_chase_base_facts
 
 
 def certain_base_facts(
@@ -37,15 +32,6 @@ def entails(
     """Decide ``I, Σ |= F`` with the exact oracle."""
     reasoner = GuardedChaseReasoner(tgds)
     return reasoner.entails(instance, fact)
-
-
-def bounded_certain_base_facts(
-    instance: Instance | Iterable[Atom],
-    tgds: Iterable[TGD],
-    max_term_depth: int = 4,
-) -> FrozenSet[Atom]:
-    """Base facts derivable by the depth-bounded Skolem chase (sound under-approximation)."""
-    return skolem_chase_base_facts(instance, tgds, max_term_depth=max_term_depth)
 
 
 def oracle_agrees(

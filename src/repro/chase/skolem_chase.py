@@ -8,26 +8,20 @@ so this implementation bounds the nesting depth of Skolem terms; bounded runs
 oracle and (at sufficient depth on small inputs) a completeness oracle for the
 rewriting algorithms.
 
-Two evaluation strategies are provided:
-
-* :meth:`SkolemChase.run` — the hot path: a semi-naive, set-at-a-time loop
-  over compiled hash-join plans (:mod:`repro.chase.plans`).  Every round
-  evaluates only the (rule, pivot) pipelines whose pivot predicate received
-  newly derived facts, so work is proportional to the consequences of the
-  last delta instead of the whole fact set.
-* :meth:`SkolemChase.run_naive_reference` — the retained per-round
-  ``solve_match`` loop, kept as the executable specification the property
-  tests compare the semi-naive engine against.  Its one concession to speed
-  over the true pre-change loop: per-rule candidate domains are maintained
-  incrementally across rounds (facts are appended to the body slots they
-  can match when first derived) instead of being rebuilt from the predicate
-  buckets on every rule application.
+Each round solves every rule's body-match problem against the whole fact
+set with :func:`repro.unification.solver.solve_match_prefiltered`, so known
+facts are re-derived every round; that makes the loop an obviously correct
+specification.  The chase is the paper's reference semantics, not its
+answering path (queries go through the Datalog rewriting), so only the tests
+run it, as a bounded oracle on small inputs.  Per-rule candidate domains
+are kept incrementally across rounds (see :class:`_RuleDomains`) instead of
+being rebuilt from the predicate buckets on every rule application.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..logic.atoms import Atom, Predicate
 from ..logic.instance import Instance
@@ -37,12 +31,6 @@ from ..logic.substitution import Substitution
 from ..logic.tgd import TGD, head_normalize
 from ..unification.matching import match_atom
 from ..unification.solver import solve_match_prefiltered
-from .plans import (
-    ChasePlanStats,
-    SkolemRulePlan,
-    compile_chase_plans,
-    run_semi_naive_chase,
-)
 
 
 @dataclass
@@ -52,9 +40,6 @@ class SkolemChaseResult:
     facts: FrozenSet[Atom]
     saturated: bool
     rounds: int
-    #: per-run semi-naive plan counters (see repro.chase.plans); ``None`` for
-    #: naive-reference runs and plan-unsupported fallbacks
-    plan_stats: Optional[Dict[str, object]] = None
 
     def base_facts(self) -> FrozenSet[Atom]:
         """Facts over constants only (the observable output of the chase)."""
@@ -77,66 +62,19 @@ class SkolemChase:
         self._rules: Tuple[Rule, ...] = skolemize(normalized, SkolemFactory())
         self.max_term_depth = max_term_depth
         self.max_facts = max_facts
-        # compiled once per chase, reused by every run(); None when some body
-        # is outside the plan fragment (never the case for Skolemized TGDs)
-        self._plans: Optional[Tuple[SkolemRulePlan, ...]] = compile_chase_plans(
-            self._rules
-        )
 
     @property
     def rules(self) -> Tuple[Rule, ...]:
         return self._rules
 
-    # ------------------------------------------------------------------
-    # chase (semi-naive, over compiled join plans)
-    # ------------------------------------------------------------------
     def run(self, instance: Instance | Iterable[Atom]) -> SkolemChaseResult:
-        """Saturate the instance; stop when the depth bound prunes all new facts."""
-        if self._plans is None:
-            return self.run_naive_reference(instance)
-        stats = ChasePlanStats()
-        facts, saturated, rounds = run_semi_naive_chase(
-            self._plans,
-            instance,
-            max_term_depth=self.max_term_depth,
-            max_facts=self.max_facts,
-            stats=stats,
-        )
-        plans_compiled = sum(plan.compiled_variant_count for plan in self._plans)
-        return SkolemChaseResult(
-            frozenset(facts),
-            saturated=saturated,
-            rounds=rounds,
-            plan_stats=stats.snapshot(plans_compiled),
-        )
+        """Saturate the instance; stop when the depth bound prunes all new facts.
 
-    # ------------------------------------------------------------------
-    # naive reference (the executable spec)
-    # ------------------------------------------------------------------
-    def run_naive_reference(
-        self, instance: Instance | Iterable[Atom]
-    ) -> SkolemChaseResult:
-        """The retained per-round loop: re-enumerate every rule's matches.
-
-        Each round solves every rule's full body-match problem against the
-        complete fact set — quadratically re-deriving known facts — which is
-        exactly what makes it an obviously correct specification for the
-        semi-naive engine.  It differs from the pre-change loop in one way:
-        per-rule candidate domains are maintained incrementally across
-        rounds (see :class:`_RuleDomains`) instead of being rebuilt from the
-        predicate buckets per rule application; the solve itself is
-        unchanged.
+        ``saturated`` is ``False`` when the depth bound pruned a fact or the
+        run stopped past ``max_facts``.
         """
         facts: Set[Atom] = set(instance)
         domains = _RuleDomains(self._rules, facts)
-
-        def add_fact(fact: Atom) -> bool:
-            if fact in facts:
-                return False
-            facts.add(fact)
-            domains.add_fact(fact)
-            return True
-
         rounds = 0
         saturated = True
         changed = True
@@ -153,8 +91,9 @@ class SkolemChase:
                     # their Skolem terms
                     if head_fact.depth > max_term_depth:
                         saturated = False
-                        continue
-                    if add_fact(head_fact):
+                    elif head_fact not in facts:
+                        facts.add(head_fact)
+                        domains.add_fact(head_fact)
                         changed = True
                         if len(facts) > max_facts:
                             return SkolemChaseResult(
@@ -173,8 +112,7 @@ class _RuleDomains:
     every round.  The lists are passed to
     :func:`repro.unification.solver.solve_match_prefiltered`, which snapshots
     them in its generator prologue, so appends made while a round is pulling
-    matches are picked up by the next round exactly as the bucketed solve
-    did.
+    matches are picked up by the next round.
     """
 
     __slots__ = ("_by_predicate", "_slots")

@@ -87,6 +87,7 @@ def _settings_from_args(args: argparse.Namespace) -> RewritingSettings:
 def _add_rewriting_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--algorithm",
+        type=str.lower,
         choices=available_algorithms(),
         default="hypdr",
         help="rewriting algorithm (default: hypdr)",

@@ -27,9 +27,8 @@ ID-encoding invariants
   store" and "answers/materializations leave it" — semi-naive deltas,
   hash-join probes, head projection, DRed bookkeeping — stays in row
   space.  Decoding back to interned :class:`~repro.logic.atoms.Atom`
-  objects happens only in the answer projection, the Skolem-term head
-  builders of the chase, and the whole-store views (``facts()``,
-  iteration, ``relation()``).
+  objects happens only in the answer projection and the whole-store
+  views (``facts()``, iteration, ``relation()``).
 * **Only ground terms are encoded.**  Variables never enter the table;
   non-ground facts are rejected exactly as the object-encoded store did.
 
@@ -145,8 +144,8 @@ class FactStore:
       encodes/decodes at the call boundary and exists for callers that
       genuinely live in term space (tests, snapshots, reference checks);
     * the **row layer** (``add_row``/``remove_row``/``relation_rows``/
-      ``key_index``/``mark_base_row``…) — what the engine, the plan
-      executor, and the chase use; nothing here touches a term object.
+      ``key_index``/``mark_base_row``…) — what the engine and the plan
+      executor use; nothing here touches a term object.
 
     See the module docstring for the ID-encoding invariants and the
     base/derived (DRed) bookkeeping contract.

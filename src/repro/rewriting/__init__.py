@@ -10,15 +10,6 @@ from .exbdr import ExbDR
 from .fulldr import FullDR
 from .hypdr import HypDR
 from .lookahead import rule_result_is_dead_end, tgd_result_is_dead_end
-from .registry import (
-    AlgorithmCapabilities,
-    RegisteredAlgorithm,
-    algorithm_capabilities,
-    capability_report,
-    register_algorithm,
-    registered_algorithms,
-    unregister_algorithm,
-)
 from .rewriter import (
     ALGORITHMS,
     UnguardedTGDError,
@@ -41,35 +32,28 @@ from .subsumption import (
 
 __all__ = [
     "ALGORITHMS",
-    "AlgorithmCapabilities",
     "ExbDR",
     "FullDR",
     "HypDR",
     "InferenceRule",
-    "RegisteredAlgorithm",
     "RewritingResult",
     "RewritingSettings",
     "SaturationStatistics",
     "Saturation",
     "SkDR",
     "UnguardedTGDError",
-    "algorithm_capabilities",
     "approximate_rule_subsumes",
     "approximate_tgd_subsumes",
     "available_algorithms",
-    "capability_report",
     "exact_rule_subsumes",
     "exact_tgd_subsumes",
     "is_syntactic_tautology",
     "make_inference",
-    "register_algorithm",
-    "registered_algorithms",
     "rewrite",
     "rewrite_program",
     "rule_result_is_dead_end",
     "saturate",
     "subsumes",
     "tgd_result_is_dead_end",
-    "unregister_algorithm",
     "validate_guardedness",
 ]

@@ -17,7 +17,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import FrozenSet, Generic, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
-from ..logic.atoms import Predicate
+from ..logic.atoms import Atom, Predicate
 from ..logic.rules import Rule
 from ..logic.tgd import TGD
 
@@ -126,8 +126,9 @@ class InferenceRule(abc.ABC, Generic[ClauseT]):
         self.sigma_body_width: int = 0
         self.sigma_constant_count: int = 0
         #: set by a rule that dropped inferences to stay within a cap (ExbDR's
-        #: ``max_combinations``); the saturation then reports its result as
-        #: not completed
+        #: ``max_combinations``, HypDR's ``max_branches``, FullDR's
+        #: ``max_substitutions_per_pair``); the saturation then reports its
+        #: result as not completed
         self.truncated = False
 
     # ------------------------------------------------------------------
@@ -185,6 +186,11 @@ class InferenceRule(abc.ABC, Generic[ClauseT]):
             else:
                 normalized.append(clause)
         return tuple(normalized)
+
+
+def dedupe_atoms(atoms: Iterable[Atom]) -> Tuple[Atom, ...]:
+    """The atoms without repeats, each kept at its first occurrence."""
+    return tuple(dict.fromkeys(atoms))
 
 
 @dataclass

@@ -75,9 +75,8 @@ from ..logic.terms import Variable
 from ..logic.tgd import TGD, head_normalize
 from ..unification.mgu import restricted_mgu
 from ..unification.solver import solve_unification_slots
-from .base import InferenceRule, RewritingSettings
+from .base import InferenceRule, RewritingSettings, dedupe_atoms
 from .lookahead import tgd_result_is_dead_end
-from .registry import AlgorithmCapabilities, register_algorithm
 
 #: τ's head atoms of one relation, with ȳ restricted to their variables
 Bucket = Tuple[Tuple[Atom, ...], FrozenSet[Variable]]
@@ -107,15 +106,6 @@ class _GuardStage:
         self.rest_atoms = rest_atoms
 
 
-@register_algorithm(
-    "exbdr",
-    capabilities=AlgorithmCapabilities(
-        clause_kind="tgd",
-        supports_lookahead=True,
-        blowup_class="single-exponential",
-        description="Existential-based rewriting on GTGDs (Definition 5.5)",
-    ),
-)
 class ExbDR(InferenceRule[TGD]):
     """Definition 5.5 plugged into the saturation engine."""
 
@@ -229,8 +219,8 @@ class ExbDR(InferenceRule[TGD]):
                     ):
                         continue
                     derived = TGD(
-                        _dedupe(theta.apply_atoms(non_full.body) + new_rest),
-                        _dedupe(theta.apply_atoms(non_full.head) + (new_head_extra,)),
+                        dedupe_atoms(theta.apply_atoms(non_full.body) + new_rest),
+                        dedupe_atoms(theta.apply_atoms(non_full.head) + (new_head_extra,)),
                     )
                     if derived not in seen:
                         seen.add(derived)
@@ -455,11 +445,3 @@ class ExbDR(InferenceRule[TGD]):
 
 def _variables_of(atoms: Iterable[Atom]) -> FrozenSet[Variable]:
     return frozenset().union(*(atom.variable_set() for atom in atoms))
-
-
-def _dedupe(atoms: Tuple[Atom, ...]) -> Tuple[Atom, ...]:
-    seen = {}
-    for atom in atoms:
-        if atom not in seen:
-            seen[atom] = None
-    return tuple(seen)

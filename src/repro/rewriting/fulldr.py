@@ -29,7 +29,7 @@ within its timeout.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..indexing.unification_index import TGDUnificationIndex
 from ..logic.atoms import Atom
@@ -38,19 +38,9 @@ from ..logic.substitution import Substitution
 from ..logic.terms import Constant, Variable
 from ..logic.tgd import TGD, head_normalize, program_constants
 from ..unification.solver import solve_bounded, solve_bounded_pairings
-from .base import InferenceRule, RewritingSettings
-from .registry import AlgorithmCapabilities, register_algorithm
+from .base import InferenceRule, RewritingSettings, dedupe_atoms
 
 
-@register_algorithm(
-    "fulldr",
-    capabilities=AlgorithmCapabilities(
-        clause_kind="tgd",
-        supports_lookahead=True,
-        blowup_class="double-exponential",
-        description="Bounded-substitution enumeration deriving full TGDs (Appendix E)",
-    ),
-)
 class FullDR(InferenceRule[TGD]):
     """Appendix E plugged into the saturation engine."""
 
@@ -62,8 +52,9 @@ class FullDR(InferenceRule[TGD]):
         self._variable_pool: Tuple[Variable, ...] = ()
         self._sigma_constants: Tuple[Constant, ...] = ()
         #: cap on the *satisfying* substitutions enumerated per premise pair
-        #: (the blow-up that Example E.3 describes); raising it makes the
-        #: algorithm more faithful and slower
+        #: (the blow-up that Example E.3 describes).  Substitutions past it
+        #: are dropped and the rule marked :attr:`truncated`, so the
+        #: rewriting is reported incomplete.
         self.max_substitutions_per_pair = 500_000
 
     # ------------------------------------------------------------------
@@ -127,6 +118,15 @@ class FullDR(InferenceRule[TGD]):
                     ordered.append(candidate)
         return tuple(ordered)
 
+    def _capped(self, solutions: Iterable) -> Iterator:
+        """The first ``max_substitutions_per_pair`` solutions; marks the rule
+        truncated if the solver has more."""
+        for count, solution in enumerate(solutions):
+            if count == self.max_substitutions_per_pair:
+                self.truncated = True
+                return
+            yield solution
+
     # ------------------------------------------------------------------
     # (COMPOSE)
     # ------------------------------------------------------------------
@@ -152,11 +152,9 @@ class FullDR(InferenceRule[TGD]):
             solutions = solve_bounded(
                 variables, range_terms, equalities=((head_atom, body_atom),)
             )
-            for theta in itertools.islice(
-                solutions, self.max_substitutions_per_pair
-            ):
+            for theta in self._capped(solutions):
                 remaining = tuple(a for a in right.body if a is not body_atom)
-                new_body = _dedupe(
+                new_body = dedupe_atoms(
                     theta.apply_atoms(left.body) + theta.apply_atoms(remaining)
                 )
                 new_head = theta.apply_atoms(right.head)
@@ -196,9 +194,7 @@ class FullDR(InferenceRule[TGD]):
         pairings = solve_bounded_pairings(
             full_body, non_full.head, variables, range_terms
         )
-        for selection, theta in itertools.islice(
-            pairings, self.max_substitutions_per_pair
-        ):
+        for selection, theta in self._capped(pairings):
             if self._universal_into_existential(theta, non_full, existential):
                 continue
             selected = {id(body_atom) for body_atom, _ in selection}
@@ -211,7 +207,7 @@ class FullDR(InferenceRule[TGD]):
                 (head_image,), existential
             ):
                 continue
-            new_body = _dedupe(
+            new_body = dedupe_atoms(
                 theta.apply_atoms(non_full.body) + remaining_image
             )
             derived = TGD(new_body, (head_image,))
@@ -233,11 +229,3 @@ class FullDR(InferenceRule[TGD]):
 
 def _mentions(atoms: Tuple[Atom, ...], variables: frozenset) -> bool:
     return any(var in variables for atom in atoms for var in atom.variables())
-
-
-def _dedupe(atoms: Tuple[Atom, ...]) -> Tuple[Atom, ...]:
-    seen = {}
-    for atom in atoms:
-        if atom not in seen:
-            seen[atom] = None
-    return tuple(seen)

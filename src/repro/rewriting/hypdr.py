@@ -36,19 +36,9 @@ from ..logic.skolem import SkolemFactory, skolemize
 from ..logic.substitution import Substitution
 from ..logic.tgd import TGD, head_normalize
 from ..unification.mgu import mgu, mgu_atoms
-from .base import InferenceRule, RewritingSettings
-from .registry import AlgorithmCapabilities, register_algorithm
+from .base import InferenceRule, RewritingSettings, dedupe_atoms
 
 
-@register_algorithm(
-    "hypdr",
-    capabilities=AlgorithmCapabilities(
-        clause_kind="rule",
-        supports_lookahead=True,
-        blowup_class="single-exponential",
-        description="Hyperresolution on Skolemized rules (Definition 5.16)",
-    ),
-)
 class HypDR(InferenceRule[Rule]):
     """Definition 5.16 plugged into the saturation engine."""
 
@@ -57,8 +47,10 @@ class HypDR(InferenceRule[Rule]):
     def __init__(self, settings: Optional[RewritingSettings] = None) -> None:
         super().__init__(settings)
         self._index = RulePathIndex()
-        #: bound on the backtracking fan-out per seed, to keep adversarial
-        #: inputs from exploding a single inference step
+        #: bound on the backtracking fan-out per consumer, to keep adversarial
+        #: inputs from exploding a single inference step.  A branch skipped at
+        #: the bound marks the rule :attr:`truncated`, so the rewriting is
+        #: reported incomplete.
         self.max_branches = 200_000
         # target atom -> generator rules with a unifiable head, reused across
         # seeds, recursion depths, and saturation rounds (atoms are interned,
@@ -172,6 +164,7 @@ class HypDR(InferenceRule[Rule]):
     ) -> None:
         """Force-resolve remaining body atoms that mention Skolem terms."""
         if branch_budget[0] <= 0:
+            self.truncated = True
             return
         skolem_positions = [
             index
@@ -180,7 +173,7 @@ class HypDR(InferenceRule[Rule]):
         ]
         if not skolem_positions:
             if head.is_function_free or self._head_may_matter(head):
-                new_body = _dedupe(resolved_bodies + remaining)
+                new_body = dedupe_atoms(resolved_bodies + remaining)
                 try:
                     derived = Rule(new_body, head)
                 except ValueError:
@@ -197,6 +190,7 @@ class HypDR(InferenceRule[Rule]):
         for candidate in self._generators_for(target, worked_off):
             branch_budget[0] -= 1
             if branch_budget[0] <= 0:
+                self.truncated = True
                 return
             premise = candidate.rename_apart(f"d{depth}")
             theta = mgu(premise.head, target)
@@ -225,11 +219,3 @@ class HypDR(InferenceRule[Rule]):
         if not self.settings.use_lookahead:
             return True
         return head.predicate in self.sigma_body_predicates
-
-
-def _dedupe(atoms: Tuple[Atom, ...]) -> Tuple[Atom, ...]:
-    seen = {}
-    for atom in atoms:
-        if atom not in seen:
-            seen[atom] = None
-    return tuple(seen)

@@ -5,57 +5,40 @@ guarded), runs the requested algorithm through the saturation engine, and
 returns a :class:`repro.rewriting.base.RewritingResult` whose
 ``datalog_rules`` are the rewriting ``rew(Σ)``.
 
-Dispatch goes through the pluggable registry of :mod:`.registry`: importing
-this module loads the four built-in algorithms (ExbDR, SkDR, HypDR, FullDR),
-each of which registers itself with :func:`.registry.register_algorithm`.
-Additional rewriters plug in by decorating their inference-rule class the
-same way — no dispatch code changes needed.  ``available_algorithms()``
-reports the registered names, and ``available_algorithms(detailed=True)``
-additionally reports each algorithm's capability metadata (clause kind,
-lookahead support, expected blowup class).
+The algorithms are the four of Section 5 and Appendix E — ExbDR, SkDR,
+HypDR and FullDR — listed in :data:`ALGORITHMS` by lowercase name.
+``available_algorithms()`` reports those names; lookups are
+case-insensitive.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, Iterable, Optional, Tuple, Type
 
-from ..logic.tgd import TGD, head_normalize
+from ..logic.tgd import TGD
 from .base import InferenceRule, RewritingResult, RewritingSettings
-
-# importing the algorithm modules populates the registry
-from . import exbdr as _exbdr  # noqa: F401
-from . import fulldr as _fulldr  # noqa: F401
-from . import hypdr as _hypdr  # noqa: F401
-from . import skdr as _skdr  # noqa: F401
-from .registry import (
-    AlgorithmCapabilities,
-    RegistryView,
-    algorithm_capabilities,
-    algorithm_entry,
-    capability_report,
-    registered_algorithms,
-)
+from .exbdr import ExbDR
+from .fulldr import FullDR
+from .hypdr import HypDR
 from .saturation import Saturation
+from .skdr import SkDR
 
-#: backward-compatible ``name -> inference class`` view of the registry
-ALGORITHMS = RegistryView()
+#: ``name -> inference class`` for the algorithms :func:`rewrite` accepts
+ALGORITHMS: Dict[str, Type[InferenceRule]] = {
+    "exbdr": ExbDR,
+    "fulldr": FullDR,
+    "hypdr": HypDR,
+    "skdr": SkDR,
+}
 
 
 class UnguardedTGDError(ValueError):
     """Raised when an input TGD is not guarded."""
 
 
-def available_algorithms(
-    detailed: bool = False,
-) -> Union[Tuple[str, ...], Dict[str, Dict[str, object]]]:
-    """The names accepted by :func:`rewrite`.
-
-    With ``detailed=True``, return a ``name -> capabilities`` mapping instead
-    (each value is the :meth:`AlgorithmCapabilities.as_dict` record).
-    """
-    if detailed:
-        return capability_report()
-    return registered_algorithms()
+def available_algorithms() -> Tuple[str, ...]:
+    """The names accepted by :func:`rewrite`, sorted."""
+    return tuple(sorted(ALGORITHMS))
 
 
 def validate_guardedness(tgds: Iterable[TGD]) -> Tuple[TGD, ...]:
@@ -70,8 +53,13 @@ def validate_guardedness(tgds: Iterable[TGD]) -> Tuple[TGD, ...]:
 def make_inference(
     algorithm: str, settings: Optional[RewritingSettings] = None
 ) -> InferenceRule:
-    """Instantiate the inference rule for a registered algorithm name."""
-    return algorithm_entry(algorithm).cls(settings)
+    """Instantiate the inference rule for an algorithm name (any case)."""
+    cls = ALGORITHMS.get(algorithm.lower())
+    if cls is None:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; expected one of {available_algorithms()}"
+        )
+    return cls(settings)
 
 
 def rewrite(
@@ -87,9 +75,8 @@ def rewrite(
         The input GTGDs (arbitrary heads; they are brought into head-normal
         form internally).
     algorithm:
-        A registered algorithm name; the built-ins are ``"exbdr"``,
-        ``"skdr"``, ``"hypdr"`` (default), and ``"fulldr"``.  See
-        :func:`available_algorithms`.
+        ``"exbdr"``, ``"skdr"``, ``"hypdr"`` (default), or ``"fulldr"``, in
+        any case.  See :func:`available_algorithms`.
     settings:
         Optional :class:`RewritingSettings` controlling subsumption, the cheap
         lookahead, timeouts, and clause limits.

@@ -22,20 +22,10 @@ from ..logic.rules import Rule
 from ..logic.skolem import SkolemFactory, skolemize
 from ..logic.tgd import TGD, head_normalize
 from ..unification.mgu import mgu
-from .base import InferenceRule, RewritingSettings
+from .base import InferenceRule, RewritingSettings, dedupe_atoms
 from .lookahead import rule_result_is_dead_end
-from .registry import AlgorithmCapabilities, register_algorithm
 
 
-@register_algorithm(
-    "skdr",
-    capabilities=AlgorithmCapabilities(
-        clause_kind="rule",
-        supports_lookahead=True,
-        blowup_class="single-exponential",
-        description="Resolution on Skolemized rules (Definition 5.10)",
-    ),
-)
 class SkDR(InferenceRule[Rule]):
     """Definition 5.10 plugged into the saturation engine."""
 
@@ -112,7 +102,7 @@ class SkDR(InferenceRule[Rule]):
             if theta is None:
                 continue
             remaining = tuple(other for other in consumer.body if other is not atom)
-            new_body = _dedupe(
+            new_body = dedupe_atoms(
                 theta.apply_atoms(generator.body) + theta.apply_atoms(remaining)
             )
             new_head = theta.apply_atom(consumer.head)
@@ -128,11 +118,3 @@ class SkDR(InferenceRule[Rule]):
                 seen.add(derived)
                 results.append(derived)
         return results
-
-
-def _dedupe(atoms: Tuple[Atom, ...]) -> Tuple[Atom, ...]:
-    seen = {}
-    for atom in atoms:
-        if atom not in seen:
-            seen[atom] = None
-    return tuple(seen)

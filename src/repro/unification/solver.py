@@ -317,9 +317,9 @@ def solve_match_prefiltered(
 ) -> Iterator[Substitution]:
     """:func:`solve_match` with per-pattern candidate lists supplied directly.
 
-    Callers that maintain incremental per-slot candidate domains (the naive
-    Skolem-chase reference keeps one list per rule body atom, appended as new
-    facts arrive) skip the per-solve bucketing and predicate scan entirely.
+    Callers that maintain incremental per-slot candidate domains (the Skolem
+    chase keeps one list per rule body atom, appended as new facts arrive)
+    skip the per-solve bucketing and predicate scan entirely.
     Each candidate list may be a superset of the true matches of its pattern
     — candidates are still verified and filtered before the search — but must
     only contain atoms of the pattern's predicate.  Like :func:`solve_match`,

@@ -1,11 +1,11 @@
 """Unit tests for the oracle convenience wrappers."""
 
 from repro.chase.oracle import (
-    bounded_certain_base_facts,
     certain_base_facts,
     entails,
     oracle_agrees,
 )
+from repro.chase.skolem_chase import skolem_chase_base_facts
 from repro.logic.atoms import Predicate
 from repro.logic.terms import Constant
 
@@ -23,7 +23,7 @@ class TestOracleWrappers:
 
     def test_bounded_is_subset_of_exact(self, running):
         tgds, instance = running
-        assert bounded_certain_base_facts(instance, tgds, 2) <= certain_base_facts(
+        assert skolem_chase_base_facts(instance, tgds, 2) <= certain_base_facts(
             instance, tgds
         )
 

@@ -79,6 +79,11 @@ class TestRewriteCommand:
         exit_code = main(["rewrite", str(dependency_file), "--timeout", "0"])
         assert exit_code == 2
 
+    def test_algorithm_name_is_case_insensitive(self, dependency_file, capsys):
+        exit_code = main(["rewrite", str(dependency_file), "--algorithm", "HypDR"])
+        assert exit_code == 0
+        assert capsys.readouterr().err.startswith("# hypdr: ")
+
     def test_unknown_algorithm_rejected(self, dependency_file):
         with pytest.raises(SystemExit):
             main(["rewrite", str(dependency_file), "--algorithm", "magic"])

@@ -57,7 +57,7 @@ class TestSaveLoadRoundTrip:
 
     def test_round_trip_preserves_statistics(self, tmp_path):
         program = parse_program(CIM)
-        kb = KnowledgeBase.compile(program.tgds, use_cache=False)
+        kb = KnowledgeBase.compile(program.tgds)
         loaded = KnowledgeBase.load(kb.save(tmp_path / "kb.json"))
         original = kb.rewriting.statistics.as_dict()
         restored = loaded.rewriting.statistics.as_dict()
@@ -66,7 +66,7 @@ class TestSaveLoadRoundTrip:
     def test_file_with_the_retired_inferences_counter_loads(self, tmp_path):
         """KB files saved while statistics carried ``inferences`` still load."""
         program = parse_program(CIM)
-        kb = KnowledgeBase.compile(program.tgds, use_cache=False)
+        kb = KnowledgeBase.compile(program.tgds)
         path = kb.save(tmp_path / "kb.json")
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert "inferences" not in payload["statistics"]
@@ -314,13 +314,6 @@ class TestCompileCache:
             "hit_rate": 0.0,
             "engine_cache_entries": 0,
         }
-
-    def test_use_cache_false_bypasses_the_cache(self):
-        tgds = parse_program(CIM).tgds
-        first = KnowledgeBase.compile(tgds, use_cache=False)
-        second = KnowledgeBase.compile(tgds, use_cache=False)
-        assert second.rewriting is not first.rewriting
-        assert compile_cache_stats()["entries"] == 0
 
     def test_cached_rewrite_returns_fingerprint(self):
         tgds = parse_program(CIM).tgds

@@ -116,3 +116,33 @@ class TestCostProfile:
         result = rewrite(tgds, algorithm="fulldr", settings=settings)
         assert not result.completed
         assert result.statistics.timed_out
+
+
+class TestSubstitutionCap:
+    """Dropping substitutions past ``max_substitutions_per_pair`` drops
+    inferences, so the rewriting must not be reported complete."""
+
+    def _rewrite(self, max_substitutions_per_pair=None):
+        inference = FullDR()
+        if max_substitutions_per_pair is not None:
+            inference.max_substitutions_per_pair = max_substitutions_per_pair
+        tgds, instance = running_example()
+        result = Saturation(inference).run(tgds)
+        facts = {
+            fact
+            for fact in materialize(result.program(), instance).facts()
+            if fact.is_base_fact
+        }
+        return result, facts == certain_base_facts(instance, tgds)
+
+    def test_a_cut_marks_the_rewriting_incomplete(self):
+        result, answers_match = self._rewrite(max_substitutions_per_pair=1)
+        assert not answers_match
+        assert not result.completed
+        assert not result.statistics.timed_out
+
+    def test_under_the_default_cap_the_rewriting_is_complete(self):
+        result, answers_match = self._rewrite()
+        assert answers_match
+        assert result.completed
+        assert result.output_size == 39

@@ -151,3 +151,37 @@ class TestSearchBehaviour:
                 if fact.is_base_fact
             }
             assert facts == expected, f"seed {seed}"
+
+
+class TestBranchCap:
+    """Skipping branches at ``max_branches`` drops inferences, so the
+    rewriting must not be reported complete."""
+
+    LOST = "A(?x1, ?x2) -> E(?x1)."
+
+    def _rewrite(self, max_branches=None):
+        inference = HypDR()
+        if max_branches is not None:
+            inference.max_branches = max_branches
+        tgds, instance = running_example()
+        result = Saturation(inference).run(tgds)
+        facts = {
+            fact
+            for fact in materialize(result.program(), instance).facts()
+            if fact.is_base_fact
+        }
+        return result, facts == certain_base_facts(instance, tgds)
+
+    def test_a_cut_marks_the_rewriting_incomplete(self):
+        result, answers_match = self._rewrite(max_branches=1)
+        assert not _contains_rule(result, parse_tgds(self.LOST)[0])
+        assert not answers_match
+        assert not result.completed
+        assert not result.statistics.timed_out
+
+    def test_under_the_default_cap_the_rewriting_is_complete(self):
+        result, answers_match = self._rewrite()
+        assert _contains_rule(result, parse_tgds(self.LOST)[0])
+        assert answers_match
+        assert result.completed
+        assert result.output_size == 7

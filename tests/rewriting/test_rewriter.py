@@ -4,6 +4,8 @@ import pytest
 
 from repro.logic.parser import parse_tgds
 from repro.rewriting import (
+    ALGORITHMS,
+    RewritingSettings,
     UnguardedTGDError,
     available_algorithms,
     make_inference,
@@ -12,23 +14,33 @@ from repro.rewriting import (
     validate_guardedness,
 )
 from repro.rewriting.exbdr import ExbDR
+from repro.rewriting.fulldr import FullDR
 from repro.rewriting.hypdr import HypDR
+from repro.rewriting.skdr import SkDR
 from repro.workloads.families import running_example
 
 
 class TestDispatch:
     def test_available_algorithms(self):
-        assert set(available_algorithms()) == {"exbdr", "skdr", "hypdr", "fulldr"}
+        assert available_algorithms() == ("exbdr", "fulldr", "hypdr", "skdr")
+
+    def test_algorithms_maps_names_to_classes(self):
+        assert ALGORITHMS == {
+            "exbdr": ExbDR,
+            "fulldr": FullDR,
+            "hypdr": HypDR,
+            "skdr": SkDR,
+        }
 
     def test_make_inference(self):
         assert isinstance(make_inference("exbdr"), ExbDR)
         assert isinstance(make_inference("HypDR"), HypDR)
 
     def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown algorithm"):
             make_inference("magic")
         tgds, _ = running_example()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown algorithm"):
             rewrite(tgds, algorithm="magic")
 
     def test_default_algorithm_is_hypdr(self):
@@ -43,6 +55,22 @@ class TestDispatch:
         program = rewrite_program(tgds, algorithm="skdr")
         assert isinstance(program, DatalogProgram)
         assert len(program) > 0
+
+
+class TestSettingsValidation:
+    def test_negative_timeout_rejected(self):
+        with pytest.raises(ValueError, match="timeout_seconds"):
+            RewritingSettings(timeout_seconds=-1.0)
+
+    def test_non_positive_max_clauses_rejected(self):
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="max_clauses"):
+                RewritingSettings(max_clauses=bad)
+
+    def test_zero_timeout_and_positive_limits_accepted(self):
+        settings = RewritingSettings(timeout_seconds=0.0, max_clauses=1)
+        assert settings.timeout_seconds == 0.0
+        assert settings.max_clauses == 1
 
 
 class TestValidation:
