@@ -18,10 +18,10 @@ saturation.
 **Serve** — :meth:`KnowledgeBase.session` opens a
 :class:`~repro.datalog.session.ReasoningSession` holding a live
 materialization: ``add_facts`` propagates deltas semi-naively without
-re-materializing, ``retract_facts`` un-asserts base facts by DRed
-(delete/re-derive) without rebuilding, ``answer``/``answer_many`` evaluate
-queries against the live fixpoint, ``snapshot`` captures an immutable
-result.
+re-materializing, ``retract_facts`` un-asserts base facts by
+Backward/Forward maintenance (B/F) without rebuilding,
+``answer``/``answer_many`` evaluate queries against the live fixpoint,
+``snapshot`` captures an immutable result.
 
 One-shot use::
 
@@ -35,7 +35,7 @@ Session use::
     kb = KnowledgeBase.load("cim.kb.json")
     session = kb.session(initial_facts)
     session.add_facts(delta)                  # incremental, not from scratch
-    session.retract_facts(stale)              # DRed unwind, not a rebuild
+    session.retract_facts(stale)              # B/F unwind, not a rebuild
     session.answer_many([query1, query2])
 
 **Query strategies** — ``answer_many`` (and every query surface above it)
@@ -223,7 +223,7 @@ class KnowledgeBase:
 
         The session keeps the materialization alive and bidirectional:
         ``add_facts`` deltas are propagated semi-naively and
-        ``retract_facts`` deltas are unwound by DRed, both instead of
+        ``retract_facts`` deltas are unwound by B/F, both instead of
         re-materializing from scratch.  All sessions of this knowledge base
         share one engine, so rule plans are compiled once and reused.
 

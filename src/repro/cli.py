@@ -13,7 +13,7 @@ The service-style workflow compiles once and serves many batches::
         --delta day1.facts --retract stale.facts \
         --delta day2.facts                               # incremental session
 
-``--delta`` (add) and ``--retract`` (DRed un-assert) files are applied to
+``--delta`` (add) and ``--retract`` (B/F un-assert) files are applied to
 the live session in the order they appear on the command line.  The
 queries file may be ``-`` to read from stdin, and ``--json`` emits one
 NDJSON result line per query (the wire format of the server).
@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         action=_SessionUpdateAction,
         dest="updates",
         metavar="FACTS_FILE",
-        help="fact file of base facts to un-assert via DRed (repeatable; "
+        help="fact file of base facts to un-assert via B/F (repeatable; "
         "applied in command-line order, interleaved with --delta)",
     )
     serve_parser.add_argument(

@@ -18,16 +18,19 @@ check the plan-based engine against it on random programs and instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..logic.atoms import Atom, Predicate
 from ..logic.instance import Instance
 from ..logic.rules import Rule
-from ..unification.matching import match_atom, match_conjunction_into_set
-from ..unification.solver import solve_match_prefiltered
+from ..unification.matching import match_conjunction_into_set
 from .plan import JoinPlanStats, RulePlan
 from .program import DatalogProgram
 from .store import FactStore, Row
+
+#: a stored fact in row space
+Fact = Tuple[Predicate, Row]
 
 
 @dataclass
@@ -80,11 +83,14 @@ class RetractionResult:
     ``retracted_facts`` counts the input facts that actually were base facts
     (and so were un-asserted); ``ignored_facts`` counts inputs skipped per
     the retraction contract (never added, or present only as derived).
-    ``overdeleted`` is the size of the over-deletion pass's candidate set
-    (excluding the retracted facts themselves), ``rederived`` how many
-    candidates the re-derivation pass proved from the surviving facts and
-    re-admitted as derived, and ``net_removed`` the store shrinkage —
-    ``len(store_before) - len(store_after)``.
+    ``overdeleted`` counts the facts removed beyond the retracted ones, and
+    ``net_removed`` the store shrinkage —
+    ``len(store_before) - len(store_after)``.  ``rederived`` is always 0:
+    DRed re-derived over-deleted facts, but B/F never removes a fact that
+    has a proof (see :meth:`DatalogEngine.retract`); the field stays for
+    the callers that report it.  ``rule_applications`` counts the rule
+    instances that the deletion rounds enumerate from removed facts, and
+    those that the backward checks enumerate and their forward step fires.
     """
 
     retracted_facts: int
@@ -184,7 +190,7 @@ class DatalogEngine:
         stats = JoinPlanStats()
         rounds, derived, applications = self._fixpoint_loop(store, seed, stats)
         # assertions become base facts even when already derivable — they
-        # must survive a later retraction of their derivers (DRed contract)
+        # must survive a later retraction of their derivers (retraction contract)
         for predicate, row in asserted:
             if not store.is_base_row(predicate, row):
                 store.mark_base_row(predicate, row)
@@ -202,26 +208,29 @@ class DatalogEngine:
         store: FactStore,
         facts: Instance | Iterable[Atom],
     ) -> RetractionResult:
-        """Un-assert base facts from a store at fixpoint, DRed style.
+        """Un-assert base facts from a store at fixpoint, Backward/Forward style.
 
         The store is mutated in place and ends exactly where re-materializing
-        the surviving base facts from scratch would land.  Three passes:
+        the surviving base facts from scratch would land.  Backward/Forward
+        maintenance (B/F; Motik, Nenov, Piro and Horrocks, AAAI 2015) looks
+        for another proof of a fact before deleting it, so the work follows
+        the net change rather than the whole derivation cone.
 
-        1. **Over-deletion** — the retracted facts seed a deleted-delta that
-           is propagated through the same per-rule :class:`PlanVariant`
-           pipelines :meth:`extend` uses, pivoted on the deleted facts; every
-           head instance they (transitively) helped derive becomes a
-           candidate deletion.  Base facts are self-supported and are never
-           over-deleted.  Each round's deletions are committed only after all
-           of the round's pivots have executed, so a derivation pairing two
-           same-round deletions is still discovered through either pivot.
-        2. **Re-derivation** — every removed fact whose head matches a rule
-           whose body still holds in the shrunken store is re-proved (via the
-           shared constraint-propagating match solver) and re-admitted as
-           derived.
-        3. **Re-insertion** — the re-proved facts seed the ordinary
-           semi-naive :meth:`_fixpoint_loop`, transitively restoring removed
-           facts that depend on them.
+        The retracted facts, unmarked as base, are the first round's
+        candidates.  Each candidate is checked for a proof from the
+        surviving base facts (:class:`_ProofSearch`).  The round's unproved
+        candidates are removed together; first their consequences are
+        enumerated through the per-rule :class:`PlanVariant` pipelines
+        :meth:`extend` uses, pivoted on them while they are still in the
+        store, so a derivation pairing two same-round deletions is found
+        through either pivot.  Those consequences are the next round's
+        candidates.
+
+        Nothing removed ever needs restoring, so DRed's re-derivation step
+        has no counterpart here: a candidate is removed only when its
+        finished check found no proof in the current store, and within the
+        call the store only shrinks while base marks stay put, so a removed
+        fact never gains a proof.
 
         Contract: inputs that are not in the store, or that are present only
         as derived facts, are ignored (counted in ``ignored_facts``) — an
@@ -232,7 +241,7 @@ class DatalogEngine:
         requested = {fact for fact in facts}
         # boundary encoding: a requested fact whose terms the table has
         # never seen cannot be in the store, let alone base — it is ignored
-        seeds: Set[Tuple[Predicate, Row]] = set()
+        seeds: Set[Fact] = set()
         for fact in requested:
             found = store.find_fact(fact)
             if found is not None and store.is_base_row(*found):
@@ -243,24 +252,29 @@ class DatalogEngine:
         for predicate, row in seeds:
             store.unmark_base_row(predicate, row)
 
-        removed: Set[Tuple[Predicate, Row]] = set()
+        search = _ProofSearch(self._plans, self._rules_by_head, store, stats)
+        proved = search.proved
+        removed: Set[Fact] = set()
         delta = seeds
         rounds = 0
         applications = 0
         while delta:
             rounds += 1
-            removed |= delta
-            delta_by_predicate: Dict[Predicate, List[Row]] = {}
-            for predicate, row in delta:
-                delta_by_predicate.setdefault(predicate, []).append(row)
-            candidates: Set[Tuple[Predicate, Row]] = set()
-            for rule in self._rules_touching(delta_by_predicate.keys()):
+            for pair in delta:
+                search.check(pair)
+            unproved = [pair for pair in delta if pair not in proved]
+            removed.update(unproved)
+            unproved_by_predicate: Dict[Predicate, List[Row]] = {}
+            for predicate, row in unproved:
+                unproved_by_predicate.setdefault(predicate, []).append(row)
+            candidates: Set[Fact] = set()
+            for rule in self._rules_touching(unproved_by_predicate.keys()):
                 plan = self._plans[rule]
                 for pivot, atom in enumerate(rule.body):
-                    if atom.predicate not in delta_by_predicate:
+                    if atom.predicate not in unproved_by_predicate:
                         continue
                     batch = plan.variant(pivot).execute_deletion(
-                        store, delta_by_predicate, stats
+                        store, unproved_by_predicate, stats
                     )
                     if not batch.size:
                         continue
@@ -270,109 +284,26 @@ class DatalogEngine:
                         pair = (head_predicate, row)
                         if (
                             pair not in removed
-                            and pair not in candidates
+                            and pair not in proved
                             and store.contains_row(head_predicate, row)
                             and not store.is_base_row(head_predicate, row)
                         ):
                             candidates.add(pair)
-            for predicate, row in delta:
+            for predicate, row in unproved:
                 store.remove_row(predicate, row)
             delta = candidates
-
-        # Re-derivation: a removed fact survives iff some rule body matches
-        # it over what is left.  Candidates whose alternative support itself
-        # depends on facts restored here are picked up transitively by the
-        # re-insertion loop below, so one direct pass suffices as the seed.
-        # Removed rows still decode (term IDs are never reclaimed), which is
-        # what lets the whole pass stay in row space.
-        rederived_seed = self._rederivation_seed(store, removed, stats)
-        loop_rounds, _, loop_applications = self._fixpoint_loop(
-            store, rederived_seed, stats
-        )
-        rederived = sum(1 for pair in removed if store.contains_row(*pair))
 
         self.join_stats.merge(stats)
         return RetractionResult(
             retracted_facts=len(seeds),
             ignored_facts=ignored,
-            overdeleted=len(removed) - len(seeds),
-            rederived=rederived,
+            overdeleted=len(removed - seeds),
+            rederived=0,
             net_removed=size_before - len(store),
-            rounds=rounds + loop_rounds,
-            rule_applications=applications + loop_applications,
+            rounds=rounds,
+            rule_applications=applications + search.applications,
             join_stats=stats.snapshot(),
         )
-
-    #: below this many removed facts the goal-directed per-fact check wins
-    #: over full rule evaluations (one head-constrained solver search per
-    #: fact versus one unconstrained join per head-matching rule)
-    _REDERIVE_BATCH_THRESHOLD = 16
-
-    def _rederivation_seed(
-        self,
-        store: FactStore,
-        removed: Set[Tuple[Predicate, Row]],
-        stats: JoinPlanStats,
-    ) -> Set[Tuple[Predicate, Row]]:
-        """``removed ∩ T_P(remaining)`` — the facts DRed must re-admit.
-
-        Two strategies with identical results: for small ``removed`` sets,
-        each fact is checked goal-directedly (the head match pre-binds the
-        rule body, so the shared match solver searches a tiny space — this
-        is the one spot where removed rows are decoded back to atoms); for
-        large ones, every rule with removed head instances is evaluated
-        *once* over the shrunken store through its compiled non-pivoted plan
-        variant and the projected rows are intersected with ``removed`` —
-        set-at-a-time work proportional to one materialization round instead
-        of one solver search per candidate.
-        """
-        seed: Set[Tuple[Predicate, Row]] = set()
-        if len(removed) <= self._REDERIVE_BATCH_THRESHOLD:
-            relation_cache: Dict[Predicate, Tuple[Atom, ...]] = {}
-            for predicate, row in removed:
-                fact = store.decode_row(predicate, row)
-                if self._has_alternative_derivation(store, fact, relation_cache):
-                    seed.add((predicate, row))
-            return seed
-        removed_by_predicate: Dict[Predicate, Set[Row]] = {}
-        for predicate, row in removed:
-            removed_by_predicate.setdefault(predicate, set()).add(row)
-        for predicate, targets in removed_by_predicate.items():
-            found: Set[Row] = set()
-            for rule in self._rules_by_head.get(predicate, ()):
-                pending = targets - found
-                if not pending:
-                    break
-                plan = self._plans[rule]
-                batch = plan.variant(None).execute(store, None, stats)
-                for row in plan.project_rows(batch, store):
-                    if row in pending:
-                        found.add(row)
-            seed.update((predicate, row) for row in found)
-        return seed
-
-    def _has_alternative_derivation(
-        self,
-        store: FactStore,
-        fact: Atom,
-        relation_cache: Dict[Predicate, Tuple[Atom, ...]],
-    ) -> bool:
-        """Whether some rule body over the current store derives ``fact``."""
-        for rule in self._rules_by_head.get(fact.predicate, ()):
-            base = match_atom(rule.head, fact)
-            if base is None:
-                continue
-            candidate_lists = []
-            for atom in rule.body:
-                relation = relation_cache.get(atom.predicate)
-                if relation is None:
-                    relation = tuple(store.relation_facts(atom.predicate))
-                    relation_cache[atom.predicate] = relation
-                candidate_lists.append(relation)
-            witness = next(solve_match_prefiltered(rule.body, candidate_lists, base), None)
-            if witness is not None:
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # helpers
@@ -442,7 +373,11 @@ class DatalogEngine:
     # introspection
     # ------------------------------------------------------------------
     def compiled_plan_count(self) -> int:
-        """Distinct (rule, pivot) variants compiled so far (cached for life)."""
+        """Distinct (rule, pivot) variants compiled so far (cached for life).
+
+        The head-bound variants of retraction's backward checks are not
+        counted.
+        """
         return sum(plan.compiled_variant_count for plan in self._plans.values())
 
     def plan_shapes(self) -> Tuple[str, ...]:
@@ -452,6 +387,117 @@ class DatalogEngine:
         same heuristic and differ only in which atom leads.
         """
         return tuple(sorted({plan.shape() for plan in self._plans.values()}))
+
+
+class _ProofSearch:
+    """B/F's provability check for one :meth:`DatalogEngine.retract` call.
+
+    ``checked`` (C) and ``proved`` (P) persist across the call's rounds.
+    A base fact is proved at once; any other fact is proved once every body
+    fact of some rule instance deriving it is proved.  :meth:`check` walks
+    backwards from a fact over the head-bound plan variants
+    (:meth:`RulePlan.derivations`), checking each instance's body facts
+    depth-first on an explicit stack, so the search depth is not bounded by
+    the interpreter's recursion limit.  A checked fact that is not proved
+    yet files each of its instances under the instance's unproved body
+    facts; when one of those is proved, the forward step (B/F's saturation)
+    re-tests just those instances.
+
+    Once a top-level check returns, a checked fact is unproved only if no
+    proof of it lies within the current store: every instance of every
+    fact on such a proof was enumerated and its body facts checked.
+    """
+
+    __slots__ = (
+        "plans",
+        "rules_by_head",
+        "store",
+        "stats",
+        "checked",
+        "proved",
+        "waiting",
+        "applications",
+    )
+
+    def __init__(
+        self,
+        plans: Dict[Rule, RulePlan],
+        rules_by_head: Dict[Predicate, Tuple[Rule, ...]],
+        store: FactStore,
+        stats: JoinPlanStats,
+    ) -> None:
+        self.plans = plans
+        self.rules_by_head = rules_by_head
+        self.store = store
+        self.stats = stats
+        self.checked: Set[Fact] = set()
+        self.proved: Set[Fact] = set()
+        # unproved body fact -> the (head, body) instances waiting on it
+        self.waiting: Dict[Fact, List[Tuple[Fact, Tuple[Fact, ...]]]] = {}
+        #: rule instances enumerated backwards or fired forwards
+        self.applications = 0
+
+    def check(self, goal: Fact) -> bool:
+        """Whether ``goal`` is provable from the store's base facts."""
+        if goal not in self.checked:
+            stack: List[Tuple[Fact, Iterator[Fact]]] = []
+            self._open(goal, stack)
+            while stack:
+                head, pending = stack[-1]
+                if head in self.proved:
+                    stack.pop()
+                    continue
+                for fact in pending:
+                    if fact not in self.checked:
+                        self._open(fact, stack)
+                        break
+                else:
+                    stack.pop()
+        return goal in self.proved
+
+    def _open(self, fact: Fact, stack: List[Tuple[Fact, Iterator[Fact]]]) -> None:
+        """Mark ``fact`` checked; prove it now, or push its body facts."""
+        self.checked.add(fact)
+        if self._known(fact):
+            return
+        predicate, row = fact
+        pending: List[Tuple[Tuple[Fact, ...], List[Fact]]] = []
+        for rule in self.rules_by_head.get(predicate, ()):
+            for body in self.plans[rule].derivations(self.store, row, self.stats):
+                self.applications += 1
+                missing = [item for item in body if not self._known(item)]
+                if not missing:
+                    # the cheap check: some instance's body is already proved
+                    self.proved.add(fact)
+                    self._saturate(fact)
+                    return
+                pending.append((body, missing))
+        waiting = self.waiting
+        for body, missing in pending:
+            for item in missing:
+                waiting.setdefault(item, []).append((fact, body))
+        if pending:
+            stack.append((fact, chain.from_iterable(missing for _, missing in pending)))
+
+    def _known(self, fact: Fact) -> bool:
+        """Whether ``fact`` is proved; a base fact is proved on first sight."""
+        if fact in self.proved:
+            return True
+        if self.store.is_base_row(*fact):
+            self.proved.add(fact)
+            return True
+        return False
+
+    def _saturate(self, fact: Fact) -> None:
+        """Forward step: prove the waiting heads whose bodies are now proved."""
+        proved = self.proved
+        queue = [fact]
+        while queue:
+            for head, body in self.waiting.pop(queue.pop(), ()):
+                if head not in proved and all(item in proved for item in body):
+                    proved.add(head)
+                    self.applications += 1
+                    queue.append(head)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,13 @@ evaluation) the plan holds one :class:`PlanVariant` — an ordered pipeline of
   columns (:meth:`FactStore.key_index`) and the step probes it once per
   binding row.  ``checks`` verify repeated *new* variables inside the atom;
   bound variables and constants need no re-checking because they are part of
-  the probe key.
+  the probe key.  A step keyed on every argument probes the relation itself,
+  since each key is a whole row, and builds no index.
+
+A retraction's backward check (:meth:`RulePlan.derivations`) runs one more
+variant per rule, compiled and cached the same way: the *head-bound*
+pipeline, which starts from a batch binding the head's variables and orders
+the body bound-first from there.
 
 Binding sets flow through the pipeline as *columnar batches*
 (:class:`BindingBatch`): a dict mapping each bound variable to a column of
@@ -59,8 +65,8 @@ benchmark (``perfbench/``) reports ``probes`` and ``probe_hits`` as its
 ``datalog.engine.join_probes`` and ``join_hit_rate`` per-layer metrics:
 
 * ``batches`` — executed pipeline steps (one columnar batch per step);
-* ``probes`` / ``probe_hits`` — hash-index lookups performed and the facts
-  they returned; ``hit_rate`` is the average number of facts returned per
+* ``probes`` / ``probe_hits`` — hash-index (or whole-row) lookups performed
+  and the facts they returned; ``hit_rate`` is the average number of facts returned per
   probe (values below 1 mean many probes miss entirely — the join filters
   hard; large values mean wide fan-out);
 * ``rows_emitted`` — complete body matches produced by final steps, i.e.
@@ -69,13 +75,15 @@ benchmark (``perfbench/``) reports ``probes`` and ``probe_hits`` as its
   variants skipped without touching the store because the pivot's delta or
   some body relation was empty;
 * ``deletion_batches`` / ``deletion_rows`` — pipelines executed pivoted on
-  a *deleted* delta during DRed over-deletion (:meth:`DatalogEngine.retract`)
-  and the candidate-deletion rows they emitted.
+  a *deleted* delta by a retraction's deletion rounds
+  (:meth:`DatalogEngine.retract`) and the candidate-deletion rows they
+  emitted.
 
 Two engine methods describe the plans themselves:
 :meth:`DatalogEngine.compiled_plan_count` counts the distinct
 ``(rule, pivot)`` variants compiled over the engine's lifetime (flat across
-rounds and updates, because plans are cached and reused), and
+rounds and updates, because plans are cached and reused; head-bound
+variants are not counted), and
 :meth:`DatalogEngine.plan_shapes` lists per-rule pipeline summaries such as
 ``"Reach(?x,?z) <- scan Reach | Edge[k1]"`` (``[kN]`` = hash join over an
 ``N``-column key).
@@ -112,8 +120,8 @@ class JoinPlanStats:
         self.rows_emitted = 0
         self.empty_delta_short_circuits = 0
         self.empty_relation_short_circuits = 0
-        # DRed over-deletion traffic: pipelines run pivoted on a deleted
-        # delta, and the candidate-deletion rows they emitted
+        # retraction traffic: pipelines run pivoted on a deleted delta,
+        # and the candidate-deletion rows they emitted
         self.deletion_batches = 0
         self.deletion_rows = 0
 
@@ -241,17 +249,22 @@ def _compile_step(atom: Atom, bound: Set[Variable]) -> JoinStep:
     )
 
 
-def _order_body(body: Sequence[Atom], pivot: Optional[int]) -> Tuple[int, ...]:
+def _order_body(
+    body: Sequence[Atom],
+    pivot: Optional[int],
+    prebound: Iterable[Variable] = (),
+) -> Tuple[int, ...]:
     """Greedy selectivity ordering of the body atoms (compile-time, no stats).
 
     The pivot (delta-restricted atom) always runs first.  Each following slot
     takes the atom with the most already-bound join variables, breaking ties
     by more constant arguments, then by fewer new variables, then by body
-    position (for determinism).
+    position (for determinism).  ``prebound`` variables count as bound from
+    the start (the head's variables, for a backward check).
     """
     remaining = list(range(len(body)))
     order: List[int] = []
-    bound: Set[Variable] = set()
+    bound: Set[Variable] = set(prebound)
 
     def const_count(index: int) -> int:
         return sum(1 for arg in body[index].args if not isinstance(arg, Variable))
@@ -278,16 +291,26 @@ def _order_body(body: Sequence[Atom], pivot: Optional[int]) -> Tuple[int, ...]:
 
 
 class PlanVariant:
-    """An ordered pipeline of join steps for one ``(body, pivot)`` pair."""
+    """An ordered pipeline of join steps for one ``(body, pivot)`` pair.
+
+    With ``prebound`` variables the pipeline starts from a caller-supplied
+    seed batch that binds them, so their atoms are probed by those values
+    rather than scanned: the head-bound variant of a backward check.
+    """
 
     __slots__ = ("body", "pivot", "order", "steps")
 
-    def __init__(self, body: Tuple[Atom, ...], pivot: Optional[int]) -> None:
+    def __init__(
+        self,
+        body: Tuple[Atom, ...],
+        pivot: Optional[int],
+        prebound: Iterable[Variable] = (),
+    ) -> None:
         self.body = body
         self.pivot = pivot
-        self.order = _order_body(body, pivot)
+        bound: Set[Variable] = set(prebound)
+        self.order = _order_body(body, pivot, bound)
         steps: List[JoinStep] = []
-        bound: Set[Variable] = set()
         for index in self.order:
             steps.append(_compile_step(body[index], bound))
             bound.update(body[index].variable_set())
@@ -301,11 +324,14 @@ class PlanVariant:
         store: FactStore,
         delta_by_predicate: Optional[Dict[Predicate, List[Row]]] = None,
         stats: Optional[JoinPlanStats] = None,
+        seed: Optional[BindingBatch] = None,
     ) -> BindingBatch:
         """Run the pipeline; returns the batch of complete body matches.
 
         ``delta_by_predicate`` holds ID-encoded rows of the executing store
         (the engine's commit loop produces exactly this), never atoms.
+        ``seed`` binds a head-bound variant's ``prebound`` variables; the
+        other variants start from the unit batch.
         """
         # empty-delta / empty-relation short-circuit: any step with no
         # candidate facts makes the whole variant vacuous
@@ -324,7 +350,7 @@ class PlanVariant:
                 if stats is not None:
                     stats.empty_relation_short_circuits += 1
                 return BindingBatch.empty()
-        batch = BindingBatch.unit()
+        batch = BindingBatch.unit() if seed is None else seed
         for position, step in zip(self.order, self.steps):
             if self.pivot is not None and position == self.pivot:
                 assert delta_by_predicate is not None
@@ -344,7 +370,7 @@ class PlanVariant:
         deleted_by_predicate: Optional[Dict[Predicate, List[Row]]],
         stats: Optional[JoinPlanStats] = None,
     ) -> BindingBatch:
-        """Run the pipeline pivoted on a *deleted* delta (DRed over-deletion).
+        """Run the pipeline pivoted on a *deleted* delta (a retraction round).
 
         The join machinery is byte-for-byte the one :meth:`execute` uses for
         semi-naive addition — only the delta's meaning flips: rows emitted
@@ -450,28 +476,37 @@ class PlanVariant:
                 probe_columns.append((encoded,) * size)
             else:
                 probe_columns.append(columns[value])
-        index = store.key_index(step.atom.predicate, step.key_positions)
         keep: List[int] = []
         new_values: List[List[int]] = [[] for _ in outputs]
-        output_positions = tuple(pos for _, pos in outputs)
-        hits = 0
-        if len(step.key_sources) == 1:
-            keys: Iterable[object] = probe_columns[0]
+        if len(step.key_positions) == len(step.atom.args):
+            # every argument is keyed, so each key is a whole row: test
+            # membership instead of building and maintaining a full-key index
+            relation = store.relation_rows(step.atom.predicate)
+            keep = [
+                row for row, key in enumerate(zip(*probe_columns)) if key in relation
+            ]
+            hits = len(keep)
         else:
-            keys = zip(*probe_columns)
-        for row, key in enumerate(keys):
-            bucket = index.get(key)
-            if not bucket:
-                continue
-            for fact_row in bucket:
-                if checks and any(
-                    fact_row[pos] != fact_row[first] for pos, first in checks
-                ):
+            index = store.key_index(step.atom.predicate, step.key_positions)
+            output_positions = tuple(pos for _, pos in outputs)
+            hits = 0
+            if len(step.key_sources) == 1:
+                keys: Iterable[object] = probe_columns[0]
+            else:
+                keys = zip(*probe_columns)
+            for row, key in enumerate(keys):
+                bucket = index.get(key)
+                if not bucket:
                     continue
-                keep.append(row)
-                for slot, pos in enumerate(output_positions):
-                    new_values[slot].append(fact_row[pos])
-                hits += 1
+                for fact_row in bucket:
+                    if checks and any(
+                        fact_row[pos] != fact_row[first] for pos, first in checks
+                    ):
+                        continue
+                    keep.append(row)
+                    for slot, pos in enumerate(output_positions):
+                        new_values[slot].append(fact_row[pos])
+                    hits += 1
         if stats is not None:
             stats.probes += size
             stats.probe_hits += hits
@@ -491,26 +526,38 @@ class PlanVariant:
         return " | ".join(parts)
 
 
+def _arg_sources(atom: Atom) -> Tuple[Tuple[str, object], ...]:
+    """Where each argument of an atom comes from: a batch column or a constant."""
+    return tuple(
+        ("var", arg) if isinstance(arg, Variable) else ("const", arg)
+        for arg in atom.args
+    )
+
+
 class RulePlan:
     """All compiled variants of one rule, plus its head projection.
 
     Variants are compiled lazily per pivot position and cached for the
     engine's lifetime, so a rule evaluated over thousands of rounds compiles
-    each of its pivots exactly once.
+    each of its pivots exactly once.  The head-bound variant that
+    :meth:`derivations` runs is compiled and cached the same way, in its
+    own slot.
     """
 
-    __slots__ = ("rule", "_variants", "_head_sources")
+    __slots__ = ("rule", "_variants", "_head_bound", "_head_sources", "_body_sources")
 
     def __init__(self, rule: Rule) -> None:
         self.rule = rule
         self._variants: Dict[Optional[int], PlanVariant] = {}
-        self._head_sources: Tuple[Tuple[str, object], ...] = tuple(
-            ("var", arg) if isinstance(arg, Variable) else ("const", arg)
-            for arg in rule.head.args
+        self._head_bound: Optional[PlanVariant] = None
+        self._head_sources = _arg_sources(rule.head)
+        self._body_sources = tuple(
+            (atom.predicate, _arg_sources(atom)) for atom in rule.body
         )
 
     @property
     def compiled_variant_count(self) -> int:
+        """Pivot variants compiled so far (the head-bound one is not counted)."""
         return len(self._variants)
 
     def variant(self, pivot: Optional[int]) -> PlanVariant:
@@ -519,6 +566,51 @@ class RulePlan:
             variant = PlanVariant(self.rule.body, pivot)
             self._variants[pivot] = variant
         return variant
+
+    def head_bound_variant(self) -> PlanVariant:
+        """The pipeline with the head's variables bound (backward checks)."""
+        variant = self._head_bound
+        if variant is None:
+            variant = PlanVariant(self.rule.body, None, self.rule.head.variable_set())
+            self._head_bound = variant
+        return variant
+
+    def derivations(
+        self, store: FactStore, row: Row, stats: Optional[JoinPlanStats] = None
+    ) -> List[Tuple[Tuple[Predicate, Row], ...]]:
+        """The body facts of every rule instance whose head is ``row``.
+
+        Backward chaining on the compiled pipeline: the head row binds the
+        head's variables (a constant or repeated variable that disagrees
+        with the row rules the instance out), and the head-bound variant
+        probes the body atoms bound-first from there.  Each instance is the
+        tuple of its ``(predicate, row)`` body facts, all in the store.
+        """
+        lookup = store.terms.lookup
+        columns: Dict[Variable, List[int]] = {}
+        for (kind, value), term_id in zip(self._head_sources, row):
+            if kind == "const":
+                if lookup(value) != term_id:
+                    return []
+            elif value not in columns:
+                columns[value] = [term_id]
+            elif columns[value][0] != term_id:
+                return []
+        batch = self.head_bound_variant().execute(
+            store, None, stats, BindingBatch(columns, 1)
+        )
+        size = batch.size
+        if not size:
+            return []
+        atom_facts = []
+        for predicate, sources in self._body_sources:
+            arg_columns = [
+                batch.columns[value] if kind == "var" else (lookup(value),) * size
+                for kind, value in sources
+            ]
+            rows = zip(*arg_columns) if sources else [()] * size
+            atom_facts.append([(predicate, args) for args in rows])
+        return list(zip(*atom_facts))
 
     def project_rows(self, batch: BindingBatch, store: FactStore) -> Iterator[Row]:
         """Instantiate the head as ID-encoded rows for every match row.

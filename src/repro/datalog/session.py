@@ -9,10 +9,11 @@ calls, so
   semi-naive delta propagation* — the fixpoint loop is seeded with the new
   facts (:meth:`DatalogEngine.extend`) instead of re-running the whole
   materialization, doing work proportional to the consequences of the delta;
-* ``retract_facts(delta)`` un-asserts base facts by DRed (delete/re-derive,
-  :meth:`DatalogEngine.retract`): an over-deletion pass pivots the same
-  compiled join plans on the deleted delta, then a re-derivation pass
-  re-proves survivors — sessions shrink as cheaply as they grow;
+* ``retract_facts(delta)`` un-asserts base facts by Backward/Forward
+  maintenance (B/F, :meth:`DatalogEngine.retract`): each deletion candidate
+  is first checked for another proof from the surviving base facts, and
+  only unproved ones are removed and propagated through the same compiled
+  join plans — sessions shrink as cheaply as they grow;
 * ``answer(query)`` / ``answer_many(queries)`` evaluate existential-free
   conjunctive queries against the live materialization with no per-call
   setup — or, via :class:`~repro.datalog.query.QueryOptions`, goal-directedly
@@ -278,11 +279,11 @@ class ReasoningSession:
     def retract_facts(self, facts: Instance | Iterable[Atom]) -> RetractionResult:
         """Un-assert base facts and unwind their consequences incrementally.
 
-        Runs DRed (delete/re-derive) through the same compiled join plans as
-        :meth:`add_facts` — see :meth:`DatalogEngine.retract` for the passes
-        and the resulting :class:`RetractionResult` counters.  The contract
-        for inputs that cannot be retracted: facts never added and facts
-        present only as derivations are *ignored* (reported via
+        Runs Backward/Forward maintenance through the same compiled join
+        plans as :meth:`add_facts` — see :meth:`DatalogEngine.retract` for
+        the algorithm and the resulting :class:`RetractionResult` counters.
+        The contract for inputs that cannot be retracted: facts never added
+        and facts present only as derivations are *ignored* (reported via
         ``ignored_facts``), never an error — retraction removes assertions,
         and whatever stays entailed by the surviving assertions stays in the
         store.

@@ -21,19 +21,19 @@ ID-encoding invariants
   clones the table precisely so the clone's rows stay valid).
 * **IDs are dense and never reused.**  The table is append-only: the
   ``n``-th distinct term encoded gets ID ``n``, and removing facts never
-  removes IDs.  DRed relies on this — rows removed during over-deletion
-  still decode correctly when the re-derivation pass re-admits them.
+  removes IDs: a removed row still decodes correctly, and adding its fact
+  back reuses the same IDs.
 * **Decode only at boundaries.**  Everything between "facts enter the
   store" and "answers/materializations leave it" — semi-naive deltas,
-  hash-join probes, head projection, DRed bookkeeping — stays in row
+  hash-join probes, head projection, retraction bookkeeping — stays in row
   space.  Decoding back to interned :class:`~repro.logic.atoms.Atom`
   objects happens only in the answer projection and the whole-store
   views (``facts()``, iteration, ``relation()``).
 * **Only ground terms are encoded.**  Variables never enter the table;
   non-ground facts are rejected exactly as the object-encoded store did.
 
-The base/derived bookkeeping contract (DRed support) is unchanged from the
-previous object-encoded store: base facts are the caller-asserted EDB
+The base/derived bookkeeping contract (retraction support) is unchanged
+from the previous object-encoded store: base facts are the caller-asserted EDB
 (``base_facts() ⊆ facts()``), a fact can be base *and* derivable, and
 removing a fact discards its base mark.
 """
@@ -148,7 +148,7 @@ class FactStore:
       executor use; nothing here touches a term object.
 
     See the module docstring for the ID-encoding invariants and the
-    base/derived (DRed) bookkeeping contract.
+    base/derived (retraction) bookkeeping contract.
     """
 
     __slots__ = ("terms", "_rows", "_key_indexes", "_base", "_size")
@@ -368,12 +368,6 @@ class FactStore:
         return frozenset(
             Atom(predicate, decode(row)) for row in self._rows.get(predicate, ())
         )
-
-    def relation_facts(self, predicate: Predicate) -> Iterator[Atom]:
-        """The relation of a predicate, decoded row by row (atom layer)."""
-        decode = self.terms.decode_args
-        for row in self._rows.get(predicate, ()):
-            yield Atom(predicate, decode(row))
 
     def count(self, predicate: Predicate) -> int:
         return len(self._rows.get(predicate, ()))

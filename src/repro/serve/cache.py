@@ -9,8 +9,9 @@ or automatically via :meth:`AnswerCache.watch_session`), so an entry from
 an older generation can never be served again: lookups compare the entry's
 stamp against the KB's current generation and treat a mismatch as a miss,
 dropping the stale entry.  This closes the retraction-aware-caching gap
-left open by the DRed work — a retraction invalidates exactly like an
-addition, because *any* mutation may change any query's certain answers.
+left open by incremental retraction — a retraction invalidates exactly
+like an addition, because *any* mutation may change any query's certain
+answers.
 
 Query fingerprints are canonical up to variable renaming: ``A(?x),B(?x)``
 and ``A(?u),B(?u)`` share one entry.  Fingerprinting is memoized on the

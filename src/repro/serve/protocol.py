@@ -19,7 +19,8 @@ verbatim in the response, so clients may pipeline)::
     {"id": 4, "op": "stats"}
     {"id": 5, "op": "ping"}
 
-``kb`` may be omitted when the server hosts exactly one knowledge base.
+``kb`` (a string) may be omitted when the server hosts exactly one
+knowledge base.
 A query request may carry a ``strategy`` field — one of ``"auto"``
 (default), ``"materialized"``, ``"demand"`` — selecting how the worker
 evaluates it (see :class:`repro.datalog.query.QueryOptions`); answers are
@@ -27,8 +28,8 @@ identical under every strategy, and the server counts requests per
 strategy in its ``stats`` payload.
 
 Query, ``add``, and ``retract`` requests may carry ``deadline_ms`` — a
-positive number of milliseconds this request is willing to wait.  The
-server enforces it (falling back to its configured default): a request
+positive, finite number of milliseconds this request is willing to wait.
+The server enforces it (falling back to its configured default): a request
 whose answer is not delivered in time gets a structured ``timeout`` error
 instead of hanging.  A timed-out *mutation* is indeterminate — if it was
 still queued it was never applied, but a timeout that fired while the op
@@ -53,6 +54,7 @@ so "the same answers" is a well-defined string comparison.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 #: protocol identifier reported by the server's hello/stats payloads
@@ -83,18 +85,35 @@ def decode_message(line: "str | bytes") -> Dict[str, object]:
     """Parse one NDJSON line into a message dict.
 
     Raises :class:`ProtocolError` on malformed JSON or a non-object payload.
+    ``json.loads`` raises a plain ``ValueError`` for an integer literal past
+    Python's digit limit and ``RecursionError`` for deep nesting; both are
+    malformed input too.
     """
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"not valid JSON: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError(
             f"a protocol message must be a JSON object, got {type(message).__name__}"
         )
     return message
+
+
+def _is_deadline(value: object) -> bool:
+    """Whether ``value`` is a positive, finite number of milliseconds.
+
+    ``json.loads`` also yields NaN, ±Infinity and integers too long for a
+    float; none of them is a deadline.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value) and value > 0
+    except OverflowError:
+        return False
 
 
 def validate_request(message: Mapping[str, object]) -> str:
@@ -121,12 +140,11 @@ def validate_request(message: Mapping[str, object]) -> str:
     if op in ("add", "retract") and not isinstance(message.get("facts"), str):
         raise ProtocolError(f"an {op} request needs a string 'facts' field")
     if op in ("query", "add", "retract"):
+        kb = message.get("kb")
+        if kb is not None and not isinstance(kb, str):
+            raise ProtocolError(f"kb must be a knowledge base name, got {kb!r}")
         deadline = message.get("deadline_ms")
-        if deadline is not None and (
-            isinstance(deadline, bool)
-            or not isinstance(deadline, (int, float))
-            or deadline <= 0
-        ):
+        if deadline is not None and not _is_deadline(deadline):
             raise ProtocolError(
                 f"deadline_ms must be a positive number of milliseconds, "
                 f"got {deadline!r}"

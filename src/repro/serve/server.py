@@ -699,7 +699,17 @@ class ReasoningServer:
         except ProtocolError as exc:
             response = error_response(None, str(exc))
         else:
-            response = await self.handle_request(message)
+            try:
+                response = await self.handle_request(message)
+            except Exception as exc:  # noqa: B902 - every request gets a line
+                # report the traceback as the loop would for a failed task,
+                # but still answer: without a line the client waits forever
+                asyncio.get_running_loop().call_exception_handler(
+                    {"message": "request handler failed", "exception": exc}
+                )
+                response = error_response(
+                    message.get("id"), f"{type(exc).__name__}: {exc}"
+                )
         async with write_lock:
             try:
                 writer.write(encode_message(response))

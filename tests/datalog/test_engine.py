@@ -210,7 +210,7 @@ Reach(?x, ?y), Edge(?y, ?z) -> Reach(?x, ?z).
 
 
 class TestRetraction:
-    """DRed (delete/re-derive) through the compiled join plans."""
+    """Backward/Forward retraction through the compiled join plans."""
 
     def _closure_engine(self, facts):
         program = parse_program(CLOSURE_RULES + facts)
@@ -233,26 +233,55 @@ class TestRetraction:
         assert Reach(a, d) not in store
         assert store.facts() == self._surviving_rebuild(store)
 
-    def test_diamond_rederives_the_surviving_path(self):
-        # two routes from a to d; deleting one must keep Reach(a, d)
+    def test_diamond_keeps_the_surviving_path(self):
+        # two routes from a to d; deleting one must keep Reach(a, d), and
+        # B/F finds the other route before removing it
         engine, store = self._closure_engine(
             "Edge(a, b). Edge(b, d). Edge(a, c). Edge(c, d)."
         )
         result = engine.retract(store, parse_facts("Edge(b, d)."))
         assert Reach(a, d) in store
         assert Reach(b, d) not in store
-        assert result.rederived >= 1
+        assert result.overdeleted == 1  # only Reach(b, d)
+        assert result.rederived == 0
+        assert result.net_removed == 2
         assert store.facts() == self._surviving_rebuild(store)
 
     def test_cycle_retraction_breaks_spurious_support(self):
-        # the classic DRed trap: facts in a derivation cycle support each
-        # other, so naive counting would never remove them
+        # the classic retraction trap: facts in a derivation cycle support
+        # each other, so naive counting would never remove them
         engine, store = self._closure_engine("Edge(a, b). Edge(b, a). Edge(b, c).")
         engine.retract(store, parse_facts("Edge(b, a)."))
         assert Reach(b, a) not in store
         assert Reach(a, a) not in store
         assert Reach(a, c) in store
         assert store.facts() == self._surviving_rebuild(store)
+
+    def test_every_body_fact_of_an_instance_is_checked(self):
+        # F(a) needs A(a) and B(a).  A(a)'s only surviving proof runs
+        # through G(a), whose search meets F(a) itself before it finds
+        # H(a); B(a) must still be checked, or F(a) is removed although
+        # SH(a) and SB(a) prove it
+        program = parse_program(
+            """
+            A(?x), B(?x) -> F(?x).
+            G(?x) -> A(?x).
+            F(?x) -> G(?x).
+            H(?x) -> G(?x).
+            SH(?x) -> H(?x).
+            SB(?x) -> B(?x).
+            SA(?x) -> A(?x).
+            SF(?x) -> F(?x).
+            SA(a). SF(a). SH(a). SB(a).
+            """
+        )
+        datalog = DatalogProgram(program.tgds)
+        engine = DatalogEngine(datalog)
+        store = engine.materialize(program.instance).store
+        result = engine.retract(store, parse_facts("SA(a). SF(a)."))
+        assert Predicate("F", 1)(a) in store
+        assert result.net_removed == 2
+        assert store.facts() == materialize(datalog, store.base_facts()).facts()
 
     def test_retracting_still_derivable_fact_demotes_it(self):
         program = parse_program(
@@ -292,9 +321,8 @@ class TestRetraction:
         assert result.join_stats.get("deletion_batches", 0) > 0
 
     def test_net_removal_is_bounded_by_the_overdeletion(self):
-        # DRed only removes what it retracted or over-deleted: whatever
-        # leaves the store was a suspect first, whether or not re-derivation
-        # then brings part of the suspects back
+        # retraction only removes what it retracted or over-deleted, and a
+        # retracted fact that is still derivable stays; nothing is re-derived
         names = [chr(ord("a") + i) for i in range(8)]
         edges = ". ".join(
             f"Edge({left}, {right})" for left, right in zip(names, names[1:])
@@ -308,18 +336,64 @@ class TestRetraction:
             assert result.rounds > 0
             assert 0 <= result.net_removed
             assert result.net_removed <= result.retracted_facts + result.overdeleted
+            assert result.rederived == 0
             assert store.facts() == self._surviving_rebuild(store)
 
-    def test_large_retraction_uses_batched_rederivation(self):
-        # a long chain with a bypass edge: removing a middle edge over-deletes
-        # far more than _REDERIVE_BATCH_THRESHOLD facts, steering the seed
-        # computation through the set-at-a-time full-plan path
-        names = [chr(ord("a") + i) for i in range(12)]
-        edges = ". ".join(
-            f"Edge({left}, {right})" for left, right in zip(names, names[1:])
-        )
-        engine, store = self._closure_engine(f"{edges}. Edge(a, f).")
-        result = engine.retract(store, parse_facts("Edge(c, d)."))
-        assert result.overdeleted > DatalogEngine._REDERIVE_BATCH_THRESHOLD
-        assert result.rederived >= 1  # the a-f bypass re-proves a* reachability
-        assert store.facts() == self._surviving_rebuild(store)
+    def test_long_chain_with_a_bypass_matches_the_rebuild(self):
+        # n0 -> n1 -> ... -> n2000 plus the bypass n999 -> n1001.  Retracting
+        # n1000 -> n1001 leaves every node reachable, and proving
+        # Reach(n1001) walks back about a thousand facts to the source:
+        # deeper than the interpreter's recursion limit
+        rules = """
+        Source(?x) -> Reach(?x).
+        Reach(?x), Edge(?x, ?y) -> Reach(?y).
+        """
+        names = [f"n{i}" for i in range(2001)]
+        edges = " ".join(f"Edge({u}, {v})." for u, v in zip(names, names[1:]))
+        program = parse_program(f"{rules} Source(n0). {edges} Edge(n999, n1001).")
+        datalog = DatalogProgram(program.tgds)
+        engine = DatalogEngine(datalog)
+        store = engine.materialize(program.instance).store
+        assert store.count(Predicate("Reach", 1)) == 2001
+
+        result = engine.retract(store, parse_facts("Edge(n1000, n1001)."))
+        assert result.net_removed == 1
+        assert store.facts() == materialize(datalog, store.base_facts()).facts()
+
+        # retracting the bypass too cuts the tail off, one fact per round
+        result = engine.retract(store, parse_facts("Edge(n999, n1001)."))
+        assert result.overdeleted == 1000
+        assert store.facts() == materialize(datalog, store.base_facts()).facts()
+
+    def test_mutual_support_needs_one_base_support(self):
+        # P(a) and Q(a) derive each other, and each has a base support
+        rules = """
+        P(?x) -> Q(?x).
+        Q(?x) -> P(?x).
+        SupP(?x) -> P(?x).
+        SupQ(?x) -> Q(?x).
+        """
+        P, Q = Predicate("P", 1), Predicate("Q", 1)
+        program = parse_program(rules + "SupP(a). SupQ(a).")
+        datalog = DatalogProgram(program.tgds)
+        engine = DatalogEngine(datalog)
+
+        def fresh_store():
+            return engine.materialize(program.instance).store
+
+        store = fresh_store()
+        result = engine.retract(store, parse_facts("SupP(a)."))
+        assert P(a) in store and Q(a) in store
+        assert result.net_removed == 1
+
+        store = fresh_store()
+        result = engine.retract(store, parse_facts("SupP(a). SupQ(a)."))
+        assert P(a) not in store and Q(a) not in store
+        assert result.net_removed == 4
+        assert len(store) == 0
+
+        store = fresh_store()
+        engine.retract(store, parse_facts("SupQ(a)."))
+        engine.retract(store, parse_facts("SupP(a)."))
+        assert P(a) not in store and Q(a) not in store
+        assert len(store) == 0

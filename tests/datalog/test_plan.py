@@ -150,6 +150,59 @@ class TestRulePlan:
         assert "scan" in shape and "[k1]" in shape
 
 
+class TestHeadBoundDerivations:
+    """``RulePlan.derivations``: backward chaining from a head row."""
+
+    @staticmethod
+    def _instances(plan, store, fact):
+        _, row = store.encode_fact(fact)
+        return {
+            tuple(store.decode_row(predicate, body_row) for predicate, body_row in body)
+            for body in plan.derivations(store, row, JoinPlanStats())
+        }
+
+    def test_head_variables_lead_the_body_order(self):
+        # with ?x and ?z bound, no atom is scanned: Reach(x, y) probes on
+        # ?x, then Edge(y, z) probes on ?y and ?z together
+        variant = PlanVariant(closure_rule().body, None, closure_rule().head.variable_set())
+        assert variant.order == (0, 1)
+        assert variant.steps[0].key_positions == (0,)
+        assert variant.steps[1].key_positions == (0, 1)
+
+    def test_every_instance_of_a_head_row_is_enumerated(self):
+        plan = RulePlan(closure_rule())
+        store = FactStore(
+            [Reach(a, b), Reach(a, c), Reach(b, c), Edge(b, a), Edge(c, a), Edge(c, b)]
+        )
+        assert self._instances(plan, store, Reach(a, a)) == {
+            (Reach(a, b), Edge(b, a)),
+            (Reach(a, c), Edge(c, a)),
+        }
+        assert self._instances(plan, store, Reach(c, a)) == set()
+        # compiled once, then reused; the pivot-variant count leaves it out
+        assert plan.head_bound_variant() is plan.head_bound_variant()
+        assert plan.compiled_variant_count == 0
+
+    def test_head_constants_and_repeated_variables_filter_the_row(self):
+        plan = RulePlan(Rule((R(x, y),), T(x, x, y)))
+        store = FactStore([R(a, b)])
+        assert self._instances(plan, store, T(a, a, b)) == {(R(a, b),)}
+        assert self._instances(plan, store, T(a, b, b)) == set()
+        constant_head = RulePlan(Rule((S(x),), R(x, a)))
+        store = FactStore([S(b)])
+        assert self._instances(constant_head, store, R(b, a)) == {(S(b),)}
+        assert self._instances(constant_head, store, R(b, b)) == set()
+
+    def test_a_body_the_head_fully_binds_yields_one_instance_at_most(self):
+        # every step is a fully keyed probe for the one row the head fixes
+        plan = RulePlan(Rule((R(x, y), S(y)), T(x, y, a)))
+        assert not any(step.outputs for step in plan.head_bound_variant().steps)
+        store = FactStore([R(a, b), S(b)])
+        assert self._instances(plan, store, T(a, b, a)) == {(R(a, b), S(b))}
+        store.remove(S(b))
+        assert self._instances(plan, store, T(a, b, a)) == set()
+
+
 class TestKeyIndexMaintenance:
     def test_index_is_updated_incrementally(self):
         store = FactStore([Edge(a, b)])
@@ -161,6 +214,20 @@ class TestKeyIndexMaintenance:
             Edge(a, b),
             Edge(a, c),
         }
+
+    def test_a_fully_keyed_step_tests_membership_without_an_index(self):
+        # whichever atom leads, the other is keyed on every argument, so
+        # each probe is a row lookup and no full-key index is built
+        both = Predicate("Both", 2)
+        program = DatalogProgram([Rule((Edge(x, y), R(x, y)), both(x, y))])
+        engine = DatalogEngine(program)
+        store = engine.materialize(
+            [Edge(a, b), Edge(b, c), R(a, b), R(c, b), R(a, a)]
+        ).store
+        assert store.relation(both) == frozenset({both(a, b)})
+        engine.extend(store, [R(b, c), Edge(a, a)])
+        assert store.relation(both) == frozenset({both(a, b), both(b, c), both(a, a)})
+        assert store.stats()["key_indexes"] == 0
 
     def test_multi_column_keys_are_tuples(self):
         store = FactStore([T(a, b, c)])

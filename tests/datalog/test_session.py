@@ -240,11 +240,13 @@ class TestRetractionBookkeeping:
 class TestUpdateWork:
     """Incremental maintenance does work proportional to the change.
 
-    A broken delta seeding or over-deletion pass still reaches the right
-    fixpoint, only by redoing (nearly) full work, so these tests bound the
-    work itself.  ``rule_applications`` is counted instead of wall time or
-    join probes because it is the same on every machine and under every
-    hash seed.
+    A broken delta seeding or a retraction that deletes and re-derives
+    whole derivation cones still reaches the right fixpoint, only by
+    redoing (nearly) full work, so these tests bound the work itself.
+    ``rule_applications`` is counted instead of wall time or join probes
+    because it is the same on every machine; a retraction's count moves by
+    a few instances with the hash seed, because B/F checks its candidates
+    in set order.
     """
 
     @pytest.fixture(scope="class")
@@ -274,14 +276,32 @@ class TestUpdateWork:
         assert update.rule_applications * 10 <= full.rule_applications
         assert session.facts() == full.facts()
 
-    def test_retracting_one_percent_costs_half_a_rebuild(self, workload):
+    def test_retracting_one_percent_costs_a_fortieth_of_a_rebuild(self, workload):
+        # every retracted fact here stays derivable, so B/F proves each one
+        # and removes nothing: the work is a few backward instances
         program, facts, one_percent = workload
         base = facts[:-one_percent]
         session = ReasoningSession(program, base)
         retraction = session.retract_facts(base[:one_percent])
         rebuild = materialize(program, base[one_percent:])
         assert retraction.retracted_facts == one_percent
-        assert retraction.rule_applications * 2 <= rebuild.rule_applications
+        assert retraction.net_removed == 0
+        assert retraction.rule_applications * 40 <= rebuild.rule_applications
+        assert session.facts() == rebuild.facts()
+
+    def test_a_retraction_that_removes_facts_puts_none_back(self, workload):
+        # the last 1% of the base removes derived facts too; B/F removes
+        # only facts with no other proof, so nothing is restored afterwards
+        program, facts, one_percent = workload
+        base = facts[:-one_percent]
+        session = ReasoningSession(program, base)
+        retraction = session.retract_facts(base[-one_percent:])
+        rebuild = materialize(program, base[:-one_percent])
+        assert retraction.retracted_facts == one_percent
+        assert retraction.net_removed > retraction.retracted_facts
+        assert retraction.rederived == 0
+        assert retraction.net_removed == retraction.retracted_facts + retraction.overdeleted
+        assert retraction.rule_applications * 20 <= rebuild.rule_applications
         assert session.facts() == rebuild.facts()
 
 

@@ -4,7 +4,7 @@ The hypothesis properties pin the store's observable behaviour to an
 *object-encoded reference model* — plain sets of interned atoms, the
 representation the store used before ID encoding — across arbitrary
 add/retract interleavings, both at the store level (``add``/``remove``/base
-bookkeeping) and through the DRed engine (``extend``/``retract``).
+bookkeeping) and through the engine's ``extend``/``retract``.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -77,7 +77,7 @@ class TestRowBoundary:
         assert predicate is R and store.contains_row(predicate, row)
 
     def test_ids_survive_removal(self):
-        """Removed rows must still decode — DRed re-derivation depends on it."""
+        """Removed rows must still decode: term IDs are never reclaimed."""
         store = FactStore([R(a, b)])
         predicate, row = store.find_fact(R(a, b))
         store.remove(R(a, b))
@@ -205,7 +205,7 @@ class TestStoreEquivalenceProperties:
             max_size=6,
         ),
     )
-    def test_dred_interleaving_matches_rematerialization(self, tgds, batches):
+    def test_extend_retract_interleaving_matches_rematerialization(self, tgds, batches):
         """After any extend/retract interleaving, the int store holds exactly
         the naive fixpoint of the surviving base facts (the object-encoded
         executable spec)."""

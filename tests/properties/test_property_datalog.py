@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from repro.chase import certain_base_facts, skolem_chase_base_facts
 from repro.datalog import DatalogProgram, materialize
+from repro.logic.atoms import Atom, Predicate
 from repro.logic.instance import Instance
+from repro.logic.parser import parse_program
 from repro.logic.rules import datalog_tgd_to_rule
 from repro.logic.substitution import Substitution
+from repro.logic.terms import Constant
 from repro.unification.matching import match_conjunction_into_set
 
 from .strategies import base_instances, guarded_tgd_sets
@@ -94,8 +97,29 @@ class TestOracleProperties:
         assert smaller <= larger
 
 
+#: reachability with cycles, plus two predicates that derive each other:
+#: the shapes where a retraction must find (or rule out) another proof
+RECURSIVE_GRAPH_RULES = """
+E(?x, ?y) -> R(?x, ?y).
+R(?x, ?y), E(?y, ?z) -> R(?x, ?z).
+R(?x, ?x) -> Cyc(?x).
+Cyc(?x), E(?x, ?y) -> Near(?y).
+Near(?x) -> Mark(?x).
+Mark(?x), S(?x) -> Near(?x).
+Mark(?x), E(?x, ?y) -> Mark(?y).
+S(?x) -> Mark(?x).
+"""
+
+_NODES = tuple(Constant(f"n{i}") for i in range(5))
+_EDGE, _SOURCE = Predicate("E", 2), Predicate("S", 1)
+graph_facts = st.one_of(
+    st.builds(lambda u, v: Atom(_EDGE, (u, v)), st.sampled_from(_NODES), st.sampled_from(_NODES)),
+    st.builds(lambda u: Atom(_SOURCE, (u,)), st.sampled_from(_NODES)),
+)
+
+
 class TestChurnProperties:
-    """Differential: DRed sessions versus from-scratch re-materialization."""
+    """Differential: B/F sessions versus from-scratch re-materialization."""
 
     @RELAXED
     @given(
@@ -136,5 +160,36 @@ class TestChurnProperties:
                 session.retract_facts(batch)
                 asserted.difference_update(batch)
             assert session.store.base_facts() == frozenset(asserted)
+            expected = materialize(program, sorted(asserted, key=str))
+            assert session.facts() == expected.facts()
+
+    @RELAXED
+    @given(
+        st.lists(graph_facts, min_size=1, max_size=12),
+        st.lists(st.lists(st.integers(min_value=0, max_value=63), max_size=4), max_size=4),
+    )
+    def test_retractions_on_recursive_graphs_match_rebuild(self, facts, script):
+        """Retracting from cyclic, mutually recursive derivations lands on the rebuild.
+
+        The counters account for exactly what left the store: the retracted
+        facts that went, plus ``overdeleted`` others, and none put back.
+        """
+        from repro.datalog import ReasoningSession
+
+        program = DatalogProgram(parse_program(RECURSIVE_GRAPH_RULES).tgds)
+        pool = sorted(set(facts), key=str)
+        session = ReasoningSession(program, pool)
+        asserted = set(pool)
+        for indices in script:
+            batch = [pool[index % len(pool)] for index in indices]
+            before = session.facts()
+            retracted = {fact for fact in batch if session.store.is_base(fact)}
+            result = session.retract_facts(batch)
+            asserted.difference_update(batch)
+            gone = before - session.facts()
+            assert result.retracted_facts == len(retracted)
+            assert result.net_removed == len(gone)
+            assert result.overdeleted == len(gone - retracted)
+            assert result.rederived == 0
             expected = materialize(program, sorted(asserted, key=str))
             assert session.facts() == expected.facts()

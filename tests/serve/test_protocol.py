@@ -37,6 +37,13 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="not valid JSON"):
             decode_message("{nope")
 
+    def test_decode_rejects_what_json_loads_cannot_hold(self):
+        # json.loads raises a plain ValueError past Python's integer digit
+        # limit, and RecursionError on deep nesting
+        for line in ('{"id": ' + "1" * 5000 + "}", "[" * 5000 + "]" * 5000):
+            with pytest.raises(ProtocolError, match="not valid JSON"):
+                decode_message(line)
+
     def test_decode_rejects_non_object(self):
         with pytest.raises(ProtocolError, match="JSON object"):
             decode_message("[1, 2]")
@@ -94,11 +101,39 @@ class TestValidateRequest:
         assert validate_request({"op": "query", "query": "P(?x)"}) == "query"
 
     def test_bad_deadline_ms_rejected(self):
-        for deadline in (0, -5, "100", True, [100]):
+        # NaN and Infinity parse from JSON, and NaN <= 0 is False; a
+        # 400-digit integer parses too, but no float holds it
+        nan, infinity = float("nan"), float("inf")
+        huge = 10**400
+        for deadline in (0, -5, "100", True, [100], nan, infinity, -infinity, huge):
             with pytest.raises(ProtocolError, match="deadline_ms"):
                 validate_request(
                     {"op": "query", "query": "P(?x)", "deadline_ms": deadline}
                 )
+        for literal in ("NaN", str(huge)):
+            decoded = decode_message(
+                '{"op": "query", "query": "P(?x)", "deadline_ms": %s}' % literal
+            )
+            with pytest.raises(ProtocolError, match="deadline_ms"):
+                validate_request(decoded)
+        # a finite deadline of any size a float holds is fine
+        for deadline in (0.5, 100, 10**300):
+            assert validate_request(
+                {"op": "query", "query": "P(?x)", "deadline_ms": deadline}
+            ) == "query"
+
+    def test_non_string_kb_rejected(self):
+        for kb in (["k"], {"name": "k"}, 3, True):
+            for request in (
+                {"op": "query", "query": "P(?x)", "kb": kb},
+                {"op": "add", "facts": "P(a).", "kb": kb},
+                {"op": "retract", "facts": "P(a).", "kb": kb},
+            ):
+                with pytest.raises(ProtocolError, match="kb must be"):
+                    validate_request(request)
+        # omitted, or named by a string
+        assert validate_request({"op": "query", "query": "P(?x)", "kb": "k"}) == "query"
+        assert validate_request({"op": "query", "query": "P(?x)", "kb": None}) == "query"
 
 
 class TestResponses:

@@ -14,7 +14,7 @@ import pytest
 from repro.api import KnowledgeBase
 from repro.datalog.query import parse_query
 from repro.logic.parser import parse_facts, parse_program
-from repro.serve.protocol import encode_answers
+from repro.serve.protocol import decode_message, encode_answers, encode_message
 from repro.serve.server import (
     Client,
     LocalClient,
@@ -388,6 +388,88 @@ class TestTcpPath:
         assert terminal["answers"] == oracle["Terminal(?x)"]
         assert pong is True
         assert stats["protocol"] == "repro-serve/v1"
+
+    @staticmethod
+    async def _exchange(server, lines):
+        """Send raw request lines over one connection; read one reply each."""
+        host, port = await server.start_tcp()
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            replies = []
+            for line in lines:
+                writer.write(line)
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.readline(), timeout=5)
+                replies.append(decode_message(reply))
+            return replies
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    def test_malformed_requests_get_an_error_line_over_tcp(self, kb):
+        # each of these used to kill the response task, so the client
+        # waited forever for a line that was never written
+        huge = "9" * 400
+        lines = [
+            encode_message(message)
+            for message in (
+                {"id": 1, "op": "query", "kb": ["cim"], "query": "Equipment(?x)"},
+                {"id": 2, "op": "retract", "kb": {"n": 1}, "facts": "ACEquipment(sw1)."},
+            )
+        ]
+        lines.append(
+            b'{"id": 3, "op": "query", "query": "Equipment(?x)", "deadline_ms": %s}\n'
+            % huge.encode()
+        )
+        lines.append(b'{"id": ' + b"1" * 5000 + b"}\n")
+        lines.append(b"[" * 5000 + b"]" * 5000 + b"\n")
+        lines.append(encode_message({"id": 6, "op": "ping"}))
+
+        async def scenario():
+            server = await make_server(kb)
+            try:
+                replies = await self._exchange(server, lines)
+                local = await server.local_client().request(
+                    {"id": 7, "op": "query", "kb": ["cim"], "query": "Equipment(?x)"}
+                )
+                return replies, local
+            finally:
+                await server.shutdown()
+
+        replies, local = asyncio.run(scenario())
+        *errors, pong = replies
+        expected = (
+            (1, "kb must be"),
+            (2, "kb must be"),
+            (3, "deadline_ms"),
+            (None, "not valid JSON"),
+            (None, "not valid JSON"),
+        )
+        for reply, (request_id, message) in zip(errors, expected):
+            assert reply["id"] == request_id
+            assert reply["ok"] is False and message in reply["error"]
+        assert local["id"] == 7
+        assert local["ok"] is False and "kb must be" in local["error"]
+        assert pong["ok"] is True and pong["pong"] is True
+
+    def test_an_unexpected_failure_still_gets_an_error_line_over_tcp(self, kb):
+        async def scenario():
+            server = await make_server(kb)
+
+            async def broken(message):
+                raise RuntimeError("boom")
+
+            try:
+                server.handle_request = broken
+                return await self._exchange(
+                    server, [encode_message({"id": 1, "op": "ping"})]
+                )
+            finally:
+                await server.shutdown()
+
+        (reply,) = asyncio.run(scenario())
+        assert reply["id"] == 1
+        assert reply["ok"] is False and "RuntimeError: boom" in reply["error"]
 
     def test_local_and_tcp_clients_serve_identical_answers(self, kb):
         async def scenario():
