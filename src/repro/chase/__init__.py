@@ -1,10 +1,8 @@
 """The chase as reference semantics: chase trees, sequences and loops, the
-exact guarded-chase oracle, and the depth-bounded Skolem chase."""
+guarded-chase decision procedure that the rewritings are checked against,
+and the depth-bounded Skolem chase."""
 
-from .guarded_engine import (
-    GuardedChaseReasoner,
-    ReferenceGuardedReasoner,
-)
+from .guarded_engine import GuardedChaseReasoner
 from .oracle import (
     certain_base_facts,
     entails,
@@ -27,7 +25,6 @@ __all__ = [
     "ChaseVertex",
     "GuardedChaseReasoner",
     "Loop",
-    "ReferenceGuardedReasoner",
     "SkolemChase",
     "SkolemChaseResult",
     "certain_base_facts",

@@ -7,7 +7,6 @@ from .engine import (
     RetractionResult,
     compiled_engine,
     materialize,
-    naive_reference_fixpoint,
 )
 from .store import FactStore
 from .magic import (
@@ -57,7 +56,6 @@ __all__ = [
     "evaluate_query",
     "magic_transform",
     "materialize",
-    "naive_reference_fixpoint",
     "parse_query",
     "query_has_bound_arguments",
 ]

@@ -9,10 +9,6 @@ into a pipeline of hash joins over columnar binding batches
 (:mod:`repro.datalog.plan`) instead of enumerating substitutions one tuple
 at a time.  This is the standard technique used by production Datalog
 systems (the paper uses RDFox for the end-to-end experiment in Section 7.3).
-
-:func:`naive_reference_fixpoint` retains the obviously-correct
-tuple-at-a-time evaluator as an executable specification; the property tests
-check the plan-based engine against it on random programs and instances.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 from ..logic.atoms import Atom, Predicate
 from ..logic.instance import Instance
 from ..logic.rules import Rule
-from ..unification.matching import match_conjunction_into_set
 from .plan import JoinPlanStats, RulePlan
 from .program import DatalogProgram
 from .store import FactStore, Row
@@ -543,31 +538,3 @@ def materialize(
     if not isinstance(program, DatalogProgram):
         program = DatalogProgram(program)
     return compiled_engine(program).materialize(instance, max_rounds=max_rounds)
-
-
-def naive_reference_fixpoint(
-    program: DatalogProgram | Iterable[Rule],
-    instance: Instance | Iterable[Atom],
-) -> FrozenSet[Atom]:
-    """Tuple-at-a-time naive evaluation, retained as the executable spec.
-
-    Repeatedly applies every rule over the full fact set until nothing new
-    is derivable.  Quadratically re-derives known facts and allocates one
-    substitution per match — never use it on real workloads; it exists so
-    the differential tests can check the plan-based engine against an
-    implementation whose correctness is obvious.
-    """
-    if not isinstance(program, DatalogProgram):
-        program = DatalogProgram(program)
-    known: Set[Atom] = set(instance)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = tuple(known)
-        for rule in program:
-            for match in match_conjunction_into_set(rule.body, snapshot):
-                fact = match.apply_atom(rule.head)
-                if fact not in known:
-                    known.add(fact)
-                    changed = True
-    return frozenset(known)

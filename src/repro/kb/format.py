@@ -243,7 +243,9 @@ class FactSegments:
     ``predicates_loaded`` counts the segments actually decoded so far and
     ``load_wall_seconds`` accumulates the wall time spent decoding — the
     lazy-loading test asserts a bound demand query finishes with
-    ``predicates_loaded < total_predicates``.
+    ``predicates_loaded < total_predicates``.  A malformed header raises
+    :class:`KnowledgeBaseFormatError` here, and malformed rows raise it on
+    first access: no segment decodes to a fact the writer did not store.
     """
 
     __slots__ = (
@@ -280,6 +282,7 @@ class FactSegments:
             if (
                 not isinstance(block, dict)
                 or not isinstance(block.get("arity"), int)
+                or block["arity"] < 0
                 or not isinstance(block.get("count"), int)
                 or not isinstance(block.get("rows"), str)
             ):
@@ -291,8 +294,14 @@ class FactSegments:
                 raise KnowledgeBaseFormatError(
                     f"fact segment key {key!r} does not match arity {block['arity']!r}"
                 )
+            count = block["count"]
+            # the writer stores a nullary fact at most once
+            if count < 0 or (block["arity"] == 0 and count > 1):
+                raise KnowledgeBaseFormatError(
+                    f"fact segment {key!r} declares an invalid count {count}"
+                )
             self._segments[Predicate(name, block["arity"])] = block
-            self.total_facts += block["count"]
+            self.total_facts += count
         self.load_wall_seconds = time.perf_counter() - start
 
     @property
@@ -307,12 +316,11 @@ class FactSegments:
         return tuple(self._segments)
 
     def _decode_term(self, term_id: int) -> Constant:
-        try:
-            term = self._terms[term_id]
-        except IndexError:
+        if not 0 <= term_id < len(self._terms):
             raise KnowledgeBaseFormatError(
                 f"fact segment references unknown term ID {term_id}"
-            ) from None
+            )
+        term = self._terms[term_id]
         if term is None:
             term = Constant(self._term_names[term_id])
             self._terms[term_id] = term
@@ -329,15 +337,21 @@ class FactSegments:
         start = time.perf_counter()
         count: int = block["count"]  # type: ignore[assignment]
         arity = predicate.arity
-        if arity == 0:
-            atoms = (Atom(predicate, ()),) * (1 if count else 0)
-        else:
+        try:
             ids = [int(token) for token in block["rows"].split()]  # type: ignore[union-attr]
-            if len(ids) != arity * count:
-                raise KnowledgeBaseFormatError(
-                    f"fact segment {predicate.name}/{arity} declares {count} rows "
-                    f"but stores {len(ids)} IDs"
-                )
+        except ValueError:
+            raise KnowledgeBaseFormatError(
+                f"fact segment {predicate.name}/{arity} stores a term ID that is "
+                "not an integer"
+            ) from None
+        if len(ids) != arity * count:
+            raise KnowledgeBaseFormatError(
+                f"fact segment {predicate.name}/{arity} declares {count} rows "
+                f"but stores {len(ids)} IDs"
+            )
+        if arity == 0:
+            atoms = (Atom(predicate, ()),) * count
+        else:
             decode = self._decode_term
             atoms = tuple(
                 Atom(

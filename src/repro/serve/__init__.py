@@ -58,8 +58,8 @@ Fault tolerance
 
 The serving layer assumes its parts fail and is built to keep answering
 correctly anyway; every mechanism below is exercised by the deterministic
-fault-injection harness (:mod:`.faults`, driven by
-``python -m repro.serve.smoke --chaos`` and the resilience test suite):
+fault-injection harness (:mod:`.faults`, driven by the resilience tests and
+the serving properties):
 
 * **Worker supervision** — a dead worker process breaks the whole pool
   (``BrokenProcessPool``); the tier rebuilds the executor once per crash

@@ -1,10 +1,9 @@
 """Deterministic fault injection for the serving layer.
 
-The chaos checks (``python -m repro.serve.smoke --chaos``, the resilience
-test suite, and the kill-interleaving hypothesis property) need failures
-that happen *on purpose, at chosen points, reproducibly* — a worker process
-dying mid-batch, a task running past its deadline, a TCP connection
-dropping mid-request.  :class:`FaultPlan` is that script: one picklable-by
+The resilience tests and the kill-interleaving hypothesis property need
+failures that happen *on purpose, at chosen points, reproducibly* — a
+worker process dying mid-batch, a task running past its deadline, a TCP
+connection dropping mid-request.  :class:`FaultPlan` is that script: one picklable-by
 -value description of which dispatches fail and how, consulted by the two
 layers that can be made to fail:
 

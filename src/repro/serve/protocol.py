@@ -47,8 +47,8 @@ client is expected to *react* to also carry ``error_kind``: ``"timeout"``
 (the request's deadline expired — safe to retry reads, re-check
 mutations) and ``"overloaded"`` (the admission queue shed the request —
 back off and retry).  Answers are encoded by :func:`encode_answers`,
-which both the server and the correctness checks (CI smoke, tests) use,
-so "the same answers" is a well-defined string comparison.
+which both the server and the correctness checks in the tests use, so
+"the same answers" is a well-defined string comparison.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ def encode_answers(
     """Answer tuples as a deterministically sorted list of term-string rows.
 
     The sort makes the encoding canonical: two answer sets are equal iff
-    their encodings are equal, which is what the stale-cache checks (CI
-    smoke, hypothesis properties) compare.
+    their encodings are equal, which is what the stale-cache checks (the
+    serving tests and hypothesis properties) compare.
     """
     return sorted([str(term) for term in row] for row in answers)
 

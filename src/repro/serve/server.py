@@ -204,6 +204,8 @@ class ReasoningServer:
     ) -> None:
         if not served:
             raise ValueError("a server needs at least one knowledge base")
+        if workers < 0:
+            raise ValueError(f"worker count must not be negative, got {workers}")
         if max_batch_size < 1:
             raise ValueError(f"max batch size must be positive, got {max_batch_size}")
         if default_deadline_ms is not None and default_deadline_ms <= 0:

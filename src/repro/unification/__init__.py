@@ -1,14 +1,6 @@
-"""Unification and matching: MGUs, X-MGUs, one-sided matching, weak covering,
-and the shared constraint-propagating conjunctive match solver."""
+"""Unification and matching: MGUs, X-MGUs, one-sided matching, and the
+shared constraint-propagating conjunctive match solver."""
 
-from .covering import (
-    all_weakly_covering,
-    atom_variable_depth,
-    is_weakly_covering,
-    rule_is_weakly_covering,
-    rule_variable_depth,
-    term_variable_depth,
-)
 from .matching import (
     exists_match_into_set,
     is_instance_of,
@@ -16,7 +8,6 @@ from .matching import (
     match_atom,
     match_atom_lists,
     match_conjunction_into_set,
-    naive_match_conjunction_into_set,
 )
 from .solver import (
     MatchSolverStats,
@@ -40,13 +31,10 @@ from .mgu import (
 
 __all__ = [
     "UnificationError",
-    "all_weakly_covering",
-    "atom_variable_depth",
     "exists_match_into_set",
     "first_match",
     "is_instance_of",
     "is_variant",
-    "is_weakly_covering",
     "match_atom",
     "match_atom_lists",
     "match_conjunction_into_set",
@@ -54,17 +42,13 @@ __all__ = [
     "match_solver_stats",
     "mgu",
     "mgu_atoms",
-    "naive_match_conjunction_into_set",
     "rename_disjoint",
     "reset_match_solver_stats",
     "restricted_mgu",
-    "rule_is_weakly_covering",
-    "rule_variable_depth",
     "solve_bounded",
     "solve_bounded_pairings",
     "solve_cover",
     "solve_match",
-    "term_variable_depth",
     "terms_unifiable",
     "unifiable",
 ]

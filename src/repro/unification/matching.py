@@ -89,34 +89,6 @@ def match_conjunction_into_set(
     return solve_match(patterns, targets, base)
 
 
-def naive_match_conjunction_into_set(
-    patterns: Sequence[Atom],
-    targets: Sequence[Atom],
-    base: Optional[Substitution] = None,
-) -> Iterator[Substitution]:
-    """Left-to-right backtracking reference for subset matching.
-
-    The pre-solver enumeration, retained as the executable spec: the
-    property tests check that the constraint-propagating solver produces
-    exactly this substitution set.  Never use it on a hot path.
-    """
-    by_predicate: Dict = {}
-    for target in targets:
-        by_predicate.setdefault(target.predicate, []).append(target)
-
-    def recurse(index: int, substitution: Substitution) -> Iterator[Substitution]:
-        if index == len(patterns):
-            yield substitution
-            return
-        pattern = patterns[index]
-        for target in by_predicate.get(pattern.predicate, ()):
-            extended = match_atom(pattern, target, substitution)
-            if extended is not None:
-                yield from recurse(index + 1, extended)
-
-    yield from recurse(0, base or Substitution())
-
-
 def exists_match_into_set(
     patterns: Sequence[Atom],
     targets: Sequence[Atom],

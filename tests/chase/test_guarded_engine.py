@@ -134,7 +134,7 @@ class TestDeltaPivotedTriggerRefires:
             A(a). r(a, b). B(b).
             """
         )
-        from repro.chase.guarded_engine import ReferenceGuardedReasoner
+        from tests.reference_guarded import ReferenceGuardedReasoner
 
         worklist = GuardedChaseReasoner(program.tgds).entailed_base_facts(
             program.instance
@@ -147,7 +147,7 @@ class TestDeltaPivotedTriggerRefires:
         assert D(Constant("a")) in worklist
 
     def test_ontology_suite_equivalence_with_reference(self):
-        from repro.chase.guarded_engine import ReferenceGuardedReasoner
+        from tests.reference_guarded import ReferenceGuardedReasoner
         from repro.workloads.instances import generate_instance
         from repro.workloads.ontology_suite import generate_suite
 

@@ -10,7 +10,7 @@ bookkeeping) and through the engine's ``extend``/``retract``.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.datalog.engine import DatalogEngine, naive_reference_fixpoint
+from repro.datalog.engine import DatalogEngine
 from repro.datalog.program import DatalogProgram
 from repro.datalog.store import FactStore, TermTable, row_key
 from repro.logic.atoms import Predicate
@@ -18,6 +18,7 @@ from repro.logic.rules import datalog_tgd_to_rule
 from repro.logic.terms import Constant, Variable
 
 from tests.properties.strategies import ground_atoms, guarded_tgd_sets
+from tests.reference_datalog import naive_reference_fixpoint
 
 R = Predicate("R", 2)
 S = Predicate("S", 1)

@@ -364,6 +364,13 @@ class TestServeCommand:
         assert exit_code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_serve_rejects_a_negative_worker_count(self, kb_file, capsys):
+        exit_code = main(
+            ["serve", f"cim={kb_file}", "--workers", "-1", "--port", "0"]
+        )
+        assert exit_code == 2
+        assert "error: worker count" in capsys.readouterr().err
+
 
 class TestStatsCommand:
     def test_stats_output(self, dependency_file, capsys):

@@ -195,12 +195,19 @@ class TestFactSegments:
         query = parse_query("Equipment(?x)")
         assert final.answer_many([query], facts) == kb.answer_many([query], facts)
 
-    def test_malformed_segment_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, arity",
+        [
+            pytest.param("Bogus/2", 3, id="key-arity-mismatch"),
+            pytest.param("Bogus/-1", -1, id="negative-arity"),
+        ],
+    )
+    def test_malformed_segment_rejected(self, tmp_path, key, arity):
         kb, facts = self._kb_and_facts()
         path = kb.save(tmp_path / "kb.json", facts=facts)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["fact_segments"]["predicates"]["Bogus/2"] = {
-            "arity": 3,  # key/arity mismatch
+        payload["fact_segments"]["predicates"][key] = {
+            "arity": arity,
             "count": 0,
             "rows": "",
         }
@@ -208,17 +215,44 @@ class TestFactSegments:
         with pytest.raises(KnowledgeBaseFormatError, match="arity"):
             KnowledgeBase.load(path)
 
-    def test_row_count_mismatch_rejected_on_decode(self, tmp_path):
-        from repro.logic.atoms import Predicate
+    @pytest.mark.parametrize(
+        "name, arity, field, value, message",
+        [
+            pytest.param(
+                "ACEquipment", 1, "count", 99, "declares 99 rows", id="count-mismatch"
+            ),
+            # a negative ID would index the term table from its end
+            pytest.param(
+                "ACEquipment", 1, "rows", "-1 0", "unknown term ID -1", id="negative-id"
+            ),
+            pytest.param(
+                "ACEquipment", 1, "rows", "0 x", "not an integer", id="non-integer-id"
+            ),
+            pytest.param(
+                "ACEquipment", 1, "count", -1, "invalid count -1", id="negative-count"
+            ),
+            pytest.param(
+                "Alarm", 0, "count", -2, "invalid count -2", id="nullary-negative-count"
+            ),
+            pytest.param(
+                "Alarm", 0, "count", 2, "invalid count 2", id="nullary-count-above-one"
+            ),
+        ],
+    )
+    def test_row_count_mismatch_rejected_on_decode(
+        self, tmp_path, name, arity, field, value, message
+    ):
+        from repro.logic.atoms import Atom, Predicate
 
         kb, facts = self._kb_and_facts()
-        path = kb.save(tmp_path / "kb.json", facts=facts)
+        alarm = Atom(Predicate("Alarm", 0), ())
+        path = kb.save(tmp_path / "kb.json", facts=facts + (alarm,))
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["fact_segments"]["predicates"]["ACEquipment/1"]["count"] = 99
+        payload["fact_segments"]["predicates"][f"{name}/{arity}"][field] = value
         path.write_text(json.dumps(payload), encoding="utf-8")
-        loaded = KnowledgeBase.load(path)  # headers parse fine
-        with pytest.raises(KnowledgeBaseFormatError, match="declares 99 rows"):
-            loaded.fact_segments.relation(Predicate("ACEquipment", 1))
+        # a bad count fails the header check on load, bad rows on decode
+        with pytest.raises(KnowledgeBaseFormatError, match=message):
+            KnowledgeBase.load(path).fact_segments.relation(Predicate(name, arity))
 
 
 class TestFormatErrors:

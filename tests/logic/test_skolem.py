@@ -1,8 +1,25 @@
 """Unit tests for Skolemization."""
 
+from repro.logic.atoms import Atom
 from repro.logic.parser import parse_tgd, parse_tgds
 from repro.logic.skolem import SkolemFactory, count_existentials, skolemize, skolemize_tgd
-from repro.logic.terms import FunctionTerm
+from repro.logic.terms import FunctionTerm, Term
+
+
+def _functional_subterms(term: Term):
+    if isinstance(term, FunctionTerm):
+        yield term
+        for arg in term.args:
+            yield from _functional_subterms(arg)
+
+
+def is_weakly_covering(atom: Atom) -> bool:
+    """de Nivelle: every non-ground functional subterm has all atom variables."""
+    return all(
+        subterm.is_ground or frozenset(subterm.variables()) == atom.variable_set()
+        for arg in atom.args
+        for subterm in _functional_subterms(arg)
+    )
 
 
 class TestSkolemizeSingleTGD:
@@ -55,6 +72,16 @@ class TestSkolemizeSingleTGD:
         tgds, _ = running
         for rule in skolemize(tgds):
             assert rule.is_guarded
+
+    def test_skolemized_guarded_tgds_are_weakly_covering(self):
+        tgds = parse_tgds(
+            """
+            A(?x1, ?x2) -> exists ?y. B(?x1, ?y), C(?x1, ?y).
+            B(?x1, ?x2), D(?x1, ?x2) -> E(?x1).
+            """
+        )
+        for rule in skolemize(tgds):
+            assert all(is_weakly_covering(atom) for atom in (*rule.body, rule.head))
 
 
 class TestSkolemizeSets:

@@ -7,18 +7,19 @@ neither the depth bound nor the ``max_facts`` cutoff stopped, finds all of
 them.  The ``max_facts`` cutoff fires exactly when the closure outgrows the
 cap.  Likewise the dirty-type worklist guarded engine
 (:class:`GuardedChaseReasoner`) must agree with the retained recursive
-engine (:class:`ReferenceGuardedReasoner`) — the pre-change whole-tree
-re-walk — on random guarded programs and on the ontology suite.
+engine (:class:`tests.reference_guarded.ReferenceGuardedReasoner`), a
+whole-tree re-walk, on random guarded programs and on the ontology suite.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chase.guarded_engine import GuardedChaseReasoner, ReferenceGuardedReasoner
+from repro.chase.guarded_engine import GuardedChaseReasoner
 from repro.chase.skolem_chase import SkolemChase
 from repro.workloads.instances import generate_instance
 from repro.workloads.ontology_suite import generate_suite
 
+from ..reference_guarded import ReferenceGuardedReasoner
 from .strategies import base_instances, guarded_tgd_sets
 
 RELAXED = settings(

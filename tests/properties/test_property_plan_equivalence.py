@@ -2,7 +2,7 @@
 
 The plan-based engine (:mod:`repro.datalog.plan`) must compute exactly the
 fixpoint of the retained tuple-at-a-time reference
-(:func:`repro.datalog.engine.naive_reference_fixpoint`) on every program and
+(:func:`tests.reference_datalog.naive_reference_fixpoint`) on every program and
 instance — full materialization, delta propagation through a session, and
 top-level query answering all ride the same compiled join pipelines.
 """
@@ -17,12 +17,12 @@ from repro.datalog import (
     ReasoningSession,
     evaluate_query,
     materialize,
-    naive_reference_fixpoint,
 )
 from repro.logic.instance import Instance
 from repro.logic.rules import datalog_tgd_to_rule
 from repro.unification.matching import match_conjunction_into_set
 
+from ..reference_datalog import naive_reference_fixpoint
 from .strategies import base_instances, guarded_tgd_sets
 
 RELAXED = settings(

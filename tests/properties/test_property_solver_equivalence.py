@@ -3,7 +3,7 @@
 The shared match solver (:mod:`repro.unification.solver`) must enumerate
 exactly the substitution set of the retained naive enumerations on every
 random conjunction — subset matching against
-:func:`repro.unification.matching.naive_match_conjunction_into_set`, head
+:func:`tests.reference_matching.naive_match_conjunction_into_set`, head
 covering against a left-to-right backtracking recursion, and the
 bounded-range mode against the literal cartesian-product-and-filter that
 FullDR used to run.  Every enumerator in the codebase (FullDR, the Skolem
@@ -20,16 +20,14 @@ from hypothesis import strategies as st
 from repro.logic.atoms import Atom
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, Variable
-from repro.unification.matching import (
-    match_atom,
-    naive_match_conjunction_into_set,
-)
+from repro.unification.matching import match_atom
 from repro.unification.solver import (
     solve_bounded,
     solve_cover,
     solve_match,
 )
 
+from ..reference_matching import naive_match_conjunction_into_set
 from .strategies import atoms, ground_atoms
 
 RELAXED = settings(

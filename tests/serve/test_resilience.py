@@ -12,7 +12,7 @@ fail-fast :class:`ClientDisconnectedError` on dead TCP connections.
 Pool-tier tests really fork worker processes and really ``os._exit``
 them, so they are kept few and each one asserts several things; every
 recovered answer is still checked against a fresh
-:meth:`KnowledgeBase.answer_many` oracle, same as the CI chaos smoke.
+:meth:`KnowledgeBase.answer_many` oracle.
 """
 
 import asyncio
@@ -151,6 +151,28 @@ class TestSupervision:
         assert stats["fault_injection"]["kills"] == 2
         assert stats["workers"]["mode"] == "pool"
 
+    def test_a_batch_killed_twice_in_a_row_still_answers(self, kb):
+        # warm() dispatches task 0; the query's first dispatch and its first
+        # retry both die, and the default budget retries once more
+        async def scenario():
+            plan = FaultPlan(kill_on_tasks={1, 2})
+            server = await make_server(kb, workers=1, fault_plan=plan)
+            try:
+                await server.warm()
+                client = server.local_client()
+                answered = await client.query("Equipment(?x)")
+                stats = await client.stats()
+                return answered, stats
+            finally:
+                await server.shutdown()
+
+        answered, stats = asyncio.run(scenario())
+        assert answered["ok"] is True
+        assert answered["answers"] == oracle(kb, FACT_LINES, "Equipment(?x)")
+        assert stats["resilience"]["worker_restarts"] >= 2
+        assert stats["resilience"]["task_retries"] >= 2
+        assert stats["fault_injection"]["kills"] == 2
+
     def test_a_task_that_keeps_dying_fails_bounded_not_forever(self, kb):
         # consecutive kill indexes exhaust the retry budget: the failure
         # propagates as BrokenProcessPool instead of retrying unbounded
@@ -173,11 +195,13 @@ class TestSupervision:
 
 
 class TestDeadlines:
-    def test_expired_deadline_is_a_structured_timeout_not_a_hang(self, kb):
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_expired_deadline_is_a_structured_timeout_not_a_hang(self, kb, workers):
         async def scenario():
             plan = FaultPlan()
-            server = await make_server(kb, fault_plan=plan)
+            server = await make_server(kb, workers=workers, fault_plan=plan)
             try:
+                await server.warm()
                 client = server.local_client()
                 plan.schedule_delay_on_next_task(0.6)
                 loop = asyncio.get_running_loop()
@@ -226,6 +250,8 @@ class TestDeadlines:
 
     def test_constructor_rejects_nonpositive_deadline_and_threshold(self, kb):
         facts = parse_facts("\n".join(FACT_LINES))
+        with pytest.raises(ValueError, match="worker count"):
+            ReasoningServer([ServedKB("cim", kb, facts)], workers=-1)
         with pytest.raises(ValueError, match="deadline"):
             ReasoningServer(
                 [ServedKB("cim", kb, facts)], default_deadline_ms=0
@@ -301,12 +327,21 @@ class TestCheckpoints:
                 lines.discard(fact)
         return sorted(lines)
 
-    def run_mutations(self, kb, threshold):
+    def run_mutations(self, kb, threshold, workers=0):
         async def scenario():
-            server = await make_server(kb, checkpoint_threshold=threshold)
+            plan = FaultPlan()
+            server = await make_server(
+                kb, workers=workers, checkpoint_threshold=threshold, fault_plan=plan
+            )
             try:
+                await server.warm()
                 client = server.local_client()
-                for kind, fact in self.MUTATIONS:
+                for index, (kind, fact) in enumerate(self.MUTATIONS):
+                    if workers and index == threshold:
+                        # the first op after the first checkpoint kills its
+                        # worker, so the replacement builds from the
+                        # checkpoint that the retried task ships
+                        plan.schedule_kill_on_next_task()
                     if kind == "add":
                         await client.add_facts(fact)
                     else:
@@ -328,8 +363,9 @@ class TestCheckpoints:
 
         return asyncio.run(scenario())
 
-    def test_checkpoints_truncate_the_log_without_changing_answers(self, kb):
-        answered, stats, *_ = self.run_mutations(kb, threshold=2)
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_checkpoints_truncate_the_log_without_changing_answers(self, kb, workers):
+        answered, stats, *_ = self.run_mutations(kb, threshold=2, workers=workers)
         kb_stats = stats["kbs"]["cim"]
         assert kb_stats["generation"] == len(self.MUTATIONS)
         assert kb_stats["checkpoints"] >= 2
@@ -344,6 +380,8 @@ class TestCheckpoints:
         # epoch in place — no rebuild, no quarantine
         assert stats["resilience"]["worker_rebuilds"] == 0
         assert stats["resilience"]["quarantined_sessions"] == 0
+        assert stats["fault_injection"]["kills"] == (1 if workers else 0)
+        assert stats["resilience"]["worker_restarts"] == (1 if workers else 0)
 
     def test_cold_worker_replays_less_than_the_full_history(self, kb):
         # the acceptance criterion: after checkpointing, a brand-new worker

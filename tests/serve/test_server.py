@@ -2,9 +2,9 @@
 
 Every asyncio scenario runs through ``asyncio.run`` inside a plain sync
 test so the suite needs no async pytest plugin.  Correctness is always
-checked the same way the CI smoke does: answers served concurrently must
-equal a fresh single-threaded :meth:`KnowledgeBase.answer_many` at the
-generation the server stamped on the response.
+checked the same way: answers served concurrently must equal a fresh
+single-threaded :meth:`KnowledgeBase.answer_many` at the generation the
+server stamped on the response.
 """
 
 import asyncio
@@ -194,45 +194,55 @@ class TestCachingAndBatching:
 
 
 class TestMutationConsistency:
-    def test_interleaved_retraction_never_serves_stale_answers(self, kb):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_interleaved_retraction_never_serves_stale_answers(self, kb, workers):
+        # with two pool workers, the one that did not apply the retraction
+        # has to catch up from the op log before its next answer
         async def scenario():
-            server = await make_server(kb)
+            server = await make_server(kb, workers=workers)
             try:
-                clients = [server.local_client() for _ in range(3)]
+                await server.warm()
+                host, port = await server.start_tcp()
+                clients = [await Client.connect(host, port) for _ in range(5)]
                 observed = []
 
                 async def query_task(i):
-                    response = await clients[i % 3].query(
+                    response = await clients[i % 5].query(
                         QUERY_TEXTS[i % len(QUERY_TEXTS)]
                     )
                     observed.append(response)
 
                 tasks = []
-                for i in range(30):
+                for i in range(50):
                     tasks.append(asyncio.create_task(query_task(i)))
-                    if i == 15:
-                        tasks.append(
-                            asyncio.create_task(
-                                clients[0].retract_facts("ACEquipment(sw1).")
-                            )
+                    if i == 25:
+                        retraction = asyncio.create_task(
+                            clients[0].retract_facts("ACEquipment(sw1).")
                         )
-                await asyncio.gather(*tasks)
-                return observed
+                await asyncio.gather(*tasks, retraction)
+                stats = await clients[0].stats()
+                for client in clients:
+                    await client.close()
+                return observed, retraction.result(), stats
             finally:
                 await server.shutdown()
 
-        observed = asyncio.run(scenario())
+        observed, retraction, stats = asyncio.run(scenario())
         oracles = {
             0: oracle_answers(kb, FACT_LINES),
             1: oracle_answers(
                 kb, [line for line in FACT_LINES if line != "ACEquipment(sw1)."]
             ),
         }
-        assert len(observed) == 30
+        assert len(observed) == 50
         for response in observed:
             assert response["answers"] == oracles[response["generation"]][
                 response["query"]
             ]
+        assert retraction["generation"] == 1
+        assert retraction["retracted_facts"] == 1
+        assert stats["kbs"]["cim"]["generation"] == 1
+        assert stats["workers"]["mode"] == ("pool" if workers else "inline")
 
     def test_mutations_apply_in_submission_order(self, kb):
         async def scenario():
@@ -470,6 +480,36 @@ class TestTcpPath:
         (reply,) = asyncio.run(scenario())
         assert reply["id"] == 1
         assert reply["ok"] is False and "RuntimeError: boom" in reply["error"]
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_reopened_v2_kb_serves_its_segment_facts(self, kb, tmp_path, workers):
+        # the loading path of `python -m repro serve`: the saved facts come
+        # back as lazy repro-kb/v2 segments and seed the server directly
+        facts = parse_facts("\n".join(FACT_LINES))
+        path = kb.save(tmp_path / "cim.kb.json", facts=facts)
+        loaded, segments = KnowledgeBase.load_or_compile(path)
+        assert segments.total_facts == len(FACT_LINES)
+
+        async def scenario():
+            server = ReasoningServer(
+                [ServedKB("cim", loaded, segments)], workers=workers
+            )
+            await server.start()
+            try:
+                await server.warm()
+                host, port = await server.start_tcp()
+                client = await Client.connect(host, port)
+                try:
+                    return [await client.query(text) for text in QUERY_TEXTS]
+                finally:
+                    await client.close()
+            finally:
+                await server.shutdown()
+
+        responses = asyncio.run(scenario())
+        oracle = oracle_answers(kb, FACT_LINES)
+        for response in responses:
+            assert response["answers"] == oracle[response["query"]]
 
     def test_local_and_tcp_clients_serve_identical_answers(self, kb):
         async def scenario():
