@@ -24,7 +24,8 @@ Quickstart::
 Query answering goes through :meth:`KnowledgeBase.answer_many` (or a
 session's ``answer``/``answer_many``), optionally tuned per call with
 :class:`QueryOptions` — the default ``auto`` strategy answers bound point
-queries goal-directedly via the magic-sets transformation::
+queries goal-directedly via the magic-sets transformation, and materializes
+instead once that has spent one unit of work per base fact::
 
     from repro import QueryOptions, parse_query
     kb.answer_many([parse_query("Equipment(sw1)")], program.instance)

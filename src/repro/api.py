@@ -42,9 +42,12 @@ Session use::
 accepts a keyword-only :class:`QueryOptions`.  The default ``auto`` strategy
 answers bound point queries on cold sessions *goal-directedly* through the
 magic-sets transformation (:mod:`repro.datalog.magic`), deriving only the
-facts the query's constants demand instead of the full fixpoint; warm
-sessions and unbound queries use the live materialization.  Answers are
-identical under every strategy — only the work differs::
+facts the query's constants demand instead of the full fixpoint, until the
+demand evaluation has done one unit of work per base fact; past that, the
+session materializes and answers from there, so ``auto`` never pays much
+more than materializing (though it can pay more than demand would have).
+Warm sessions and unbound queries use the live materialization.  Answers
+are identical under every strategy — only the work differs::
 
     kb.answer_many([query], facts)                                   # auto
     kb.answer_many([query], facts, options=QueryOptions("demand"))   # forced
@@ -230,7 +233,9 @@ class KnowledgeBase:
         With ``defer_materialization=True`` the session starts cold — no
         fixpoint is computed until something needs it — which lets the
         ``auto``/``demand`` query strategies answer bound point queries
-        goal-directedly without ever paying for full materialization.
+        goal-directedly without paying for full materialization.  Under
+        ``auto``, a demand evaluation that spends one unit of work per base
+        fact warms the session instead.
         """
         return ReasoningSession(
             self.program,
@@ -265,10 +270,10 @@ class KnowledgeBase:
 
         The session behind the batch starts cold, so the default ``auto``
         strategy answers bound point queries goal-directedly (magic sets)
-        without paying for full materialization; the first
-        materialized-strategy query in the batch warms it once for the
-        rest.  Pass ``options`` to force a strategy (see
-        :class:`QueryOptions`).
+        within a work budget; the first materialized-strategy query in the
+        batch, or the first ``auto`` demand evaluation that spends its
+        budget, warms it once for the rest.  Pass ``options`` to
+        force a strategy (see :class:`QueryOptions`).
         """
         session = self.session(instance, defer_materialization=True)
         return session.answer_many(queries, options=options)

@@ -372,6 +372,10 @@ def _command_serve(args: argparse.Namespace) -> int:
     from .logic.instance import Instance
     from .serve.server import ReasoningServer, ServedKB
 
+    # bind() would reject it only inside the event loop, as a traceback
+    if not 0 <= args.port <= 65535:
+        print(f"error: port must be 0-65535, got {args.port}", file=sys.stderr)
+        return 2
     loaded = {}
     order = []
     try:
@@ -548,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="query evaluation strategy: 'materialized' pays the full "
         "fixpoint up front, 'demand' answers goal-directedly via magic "
         "sets, 'auto' (default) goes goal-directed for bound queries on a "
-        "cold session (answers are identical under every strategy)",
+        "cold session until that spends one unit of work per base fact, "
+        "then materializes (answers are identical under every strategy)",
     )
     _add_rewriting_options(serve_parser)
     serve_parser.set_defaults(handler=_command_serve_batch)

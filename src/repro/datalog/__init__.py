@@ -1,6 +1,7 @@
 """A semi-naive Datalog engine: programs, fact stores, materialization, queries."""
 
 from .engine import (
+    BudgetExceeded,
     DatalogEngine,
     DeltaUpdateResult,
     MaterializationResult,
@@ -32,6 +33,7 @@ from .session import ReasoningSession
 
 __all__ = [
     "BindingBatch",
+    "BudgetExceeded",
     "ConjunctiveQuery",
     "DatalogEngine",
     "DatalogProgram",

@@ -28,6 +28,30 @@ from .store import FactStore, Row
 Fact = Tuple[Predicate, Row]
 
 
+class BudgetExceeded(Exception):
+    """A budgeted :meth:`DatalogEngine.materialize` call ran out of work.
+
+    One unit of work is a rule application or a join step (one
+    :attr:`~repro.datalog.plan.JoinPlanStats.batches` count).  The call
+    checks its budget after round 0 and after every semi-naive round, so it
+    stops at most one round past ``limit``.  The signal travels in the
+    exception, never in the engine, which sessions on several threads share.
+    """
+
+    def __init__(self, limit: int, spent: int, rounds: int) -> None:
+        # the counts are the args, so the exception pickles across processes
+        super().__init__(limit, spent, rounds)
+        self.limit = limit
+        self.spent = spent
+        self.rounds = rounds
+
+    def __str__(self) -> str:
+        return (
+            f"work budget of {self.limit} spent: "
+            f"{self.spent} units after {self.rounds} rounds"
+        )
+
+
 @dataclass
 class MaterializationResult:
     """The outcome of a materialization run."""
@@ -123,8 +147,14 @@ class DatalogEngine:
         self,
         instance: Instance | Iterable[Atom],
         max_rounds: Optional[int] = None,
+        max_work: Optional[int] = None,
     ) -> MaterializationResult:
-        """Compute the fixpoint of the program on the given instance."""
+        """Compute the fixpoint of the program on the given instance.
+
+        With ``max_work``, raise :class:`BudgetExceeded` once the call's rule
+        applications plus join steps pass it; a call that returns has spent
+        at most ``max_work``.
+        """
         store = FactStore(instance)
         stats = JoinPlanStats()
 
@@ -144,8 +174,9 @@ class DatalogEngine:
             for row in plan.project_rows(batch, store):
                 if row not in relation:
                     new_rows.add((head_predicate, row))
+        _check_work(max_work, applications + stats.batches, 0)
         rounds, derived, loop_applications = self._fixpoint_loop(
-            store, new_rows, stats, max_rounds
+            store, new_rows, stats, max_rounds, max_work, applications
         )
         self.join_stats.merge(stats)
         return MaterializationResult(
@@ -309,13 +340,17 @@ class DatalogEngine:
         new_rows: Set[Tuple[Predicate, Row]],
         stats: JoinPlanStats,
         max_rounds: Optional[int] = None,
+        max_work: Optional[int] = None,
+        spent: int = 0,
     ) -> Tuple[int, int, int]:
         """The shared semi-naive loop; returns (rounds, added, applications).
 
         ``new_rows`` is the seed delta — (predicate, row) pairs not yet in
         the store.  Every round commits the pending rows, then evaluates
         each rule/pivot plan variant with the pivot atom restricted to the
-        committed delta.  The loop never leaves row space.
+        committed delta.  The loop never leaves row space.  After each
+        round, ``spent`` plus the loop's applications plus ``stats.batches``
+        is checked against ``max_work`` (see :class:`BudgetExceeded`).
         """
         rounds = 0
         added = 0
@@ -351,6 +386,7 @@ class DatalogEngine:
                     for row in plan.project_rows(batch, store):
                         if row not in relation:
                             new_rows.add((head_predicate, row))
+            _check_work(max_work, spent + applications + stats.batches, rounds)
         return rounds, added, applications
 
     def _rules_touching(self, delta_predicates: Iterable[Predicate]) -> Tuple[Rule, ...]:
@@ -382,6 +418,11 @@ class DatalogEngine:
         same heuristic and differ only in which atom leads.
         """
         return tuple(sorted({plan.shape() for plan in self._plans.values()}))
+
+
+def _check_work(max_work: Optional[int], spent: int, rounds: int) -> None:
+    if max_work is not None and spent > max_work:
+        raise BudgetExceeded(max_work, spent, rounds)
 
 
 class _ProofSearch:

@@ -29,9 +29,14 @@ For every goal on an IDB predicate the transformation produces:
 * a **magic predicate** ``magic__p__bf`` over the bound positions only,
   holding the demanded bindings.  Every adorned rule is guarded by a magic
   atom over its head's bound arguments, and *magic rules* propagate demand
-  left to right through rule bodies (full left-to-right sideways
-  information passing: a body atom sees the head's bound variables plus
-  everything bound by the atoms before it);
+  through rule bodies in a bound-first order (sideways information
+  passing, as chosen in Beeri and Ramakrishnan, "On the Power of Magic",
+  1991): the next body atom is the one with the most bound arguments —
+  ground, or a variable the head's bound positions or an earlier atom
+  bind — with EDB atoms before IDB atoms on ties, then written order.  A
+  body atom sees the head's bound variables plus everything bound by the
+  atoms before it, so a body written as ``C(?x1) & r(?x2, ?x1)`` under a
+  bound ``?x2`` demands ``r^bf`` and then ``C^b``, not an all-free ``C^f``;
 * a **copy rule** ``p__bf(v...) <- magic__p__bf(v_bound...), p(v...)``
   importing base facts asserted directly on ``p`` (predicates can be both
   EDB and IDB here).
@@ -41,8 +46,9 @@ a 0-ary always-true atom — so its adorned rules are unguarded and the
 evaluation degenerates to (reachability-restricted) full materialization,
 which keeps zero-constant queries correct.  Evaluating a query then means:
 seed ``magic__p^α`` with the query's constants, materialize the rewritten
-program over the base facts plus those seeds, and evaluate the query with
-each IDB atom replaced by its adorned predicate.
+program over those seeds plus the base facts of the predicates it or the
+query reads, and evaluate the query with each IDB atom replaced by its
+adorned predicate.
 
 Reading the ``magic`` stats counters
 ------------------------------------
@@ -54,6 +60,8 @@ Reading the ``magic`` stats counters
   pattern specialized);
 * ``magic_facts`` — demand facts derived during evaluation (how far demand
   propagated; small is good);
+* ``work`` — rule applications plus join steps of the evaluation, the unit
+  of :class:`~repro.datalog.engine.BudgetExceeded`'s budget;
 * ``predicates_touched`` vs ``predicates_total`` — distinct *original*
   predicates the demand-restricted evaluation can reach, against the full
   program's predicate count.  A low ratio is the whole point: the query
@@ -244,7 +252,9 @@ def magic_transform(program: DatalogProgram, goals: Sequence[Goal]) -> MagicProg
             if head_guard is not None:
                 bound.update(head_guard.variable_set())
             new_body: List[Atom] = [head_guard] if head_guard is not None else []
-            for atom in rule.body:
+            remaining = list(rule.body)
+            while remaining:
+                atom = remaining.pop(_next_bound_first(remaining, bound, idb))
                 if atom.predicate in idb:
                     sub_adornment = "".join(
                         "b" if arg.is_ground or (
@@ -296,6 +306,21 @@ def magic_transform(program: DatalogProgram, goals: Sequence[Goal]) -> MagicProg
     return transformed
 
 
+def _next_bound_first(
+    atoms: Sequence[Atom], bound: Set[Variable], idb: FrozenSet[Predicate]
+) -> int:
+    """Index of the next body atom under bound-first SIPS.
+
+    Most bound arguments first (ground, or a variable in ``bound``), then
+    EDB before IDB atoms, then written order.
+    """
+    return max(range(len(atoms)), key=lambda index: (
+        sum(1 for arg in atoms[index].args if arg.is_ground or arg in bound),
+        atoms[index].predicate not in idb,
+        -index,
+    ))
+
+
 _TRANSFORM_CACHE: Dict[object, MagicProgram] = {}
 TRANSFORM_CACHE_LIMIT = 128
 
@@ -314,6 +339,7 @@ class DemandReport:
     copy_rules: int
     magic_facts: int
     rounds: int
+    work: int
     predicates_touched: int
     predicates_total: int
 
@@ -324,6 +350,7 @@ class DemandReport:
             "copy_rules": self.copy_rules,
             "magic_facts": self.magic_facts,
             "rounds": self.rounds,
+            "work": self.work,
             "predicates_touched": self.predicates_touched,
             "predicates_total": self.predicates_total,
         }
@@ -341,6 +368,7 @@ def demand_answer(
     program: DatalogProgram,
     base_facts: Sequence[Atom] | FrozenSet[Atom],
     query: ConjunctiveQuery,
+    max_work: Optional[int] = None,
 ) -> DemandAnswer:
     """Answer a query goal-directedly: transform, seed, materialize, evaluate.
 
@@ -350,18 +378,23 @@ def demand_answer(
     query's bound arguments demand.  The transformed program is served from
     the transformation cache and the shared engine cache, so repeated
     point queries of the same shape pay only for their (small) fixpoint.
+
+    Only the base facts of the demanded predicates and of the query's own
+    predicates are read; on a lazy source
+    (:class:`repro.kb.format.FactSegments`) the other segments are never
+    decoded.  With ``max_work``, the evaluation raises
+    :class:`~repro.datalog.engine.BudgetExceeded` once it has spent more
+    (see ``work`` in the module docstring).
     """
     transformed = magic_transform(program, query_goals(program, query))
     engine = compiled_engine(transformed.program)
     seeds = transformed.seed_facts(query)
+    read = transformed.demanded_predicates.union(atom.predicate for atom in query.body)
     if hasattr(base_facts, "facts_for"):
-        # lazy fact source (repro.kb.format.FactSegments): decode only the
-        # predicates this demand pattern can reach — the other segments
-        # never leave their serialized form
-        base = tuple(base_facts.facts_for(transformed.demanded_predicates))
+        base = tuple(base_facts.facts_for(read))
     else:
-        base = tuple(base_facts)
-    result = engine.materialize(base + seeds)
+        base = tuple(fact for fact in base_facts if fact.predicate in read)
+    result = engine.materialize(base + seeds, max_work=max_work)
     magic_preds = {
         pred for pred in transformed.magic_predicates.values() if pred is not None
     }
@@ -376,6 +409,7 @@ def demand_answer(
         copy_rules=transformed.copy_rule_count,
         magic_facts=magic_facts,
         rounds=result.rounds,
+        work=result.rule_applications + result.join_stats["batches"],
         predicates_touched=len(transformed.demanded_predicates),
         predicates_total=len(program.predicates()),
     )

@@ -42,11 +42,19 @@ class QueryOptions:
       sessions and for batches that touch most of the KB.
     * ``"demand"`` — goal-directed evaluation via the magic-sets
       transformation (:mod:`repro.datalog.magic`): only derive facts the
-      query's bound arguments demand.  The right choice for bound point
-      queries on cold sessions; a query with no bound arguments degenerates
-      to (reachability-restricted) full materialization in a scratch store.
+      query's bound arguments demand, however much work that takes, and
+      never warm a cold session.  A query with no bound arguments
+      degenerates to (reachability-restricted) full materialization in a
+      scratch store.
     * ``"auto"`` (default) — ``demand`` when the session is cold *and* the
-      query has at least one bound argument, else ``materialized``.
+      query has at least one bound argument, else ``materialized``.  Its
+      demand evaluation may spend at most one unit of work (a rule
+      application or a join step) per base fact; past that, it stops,
+      warms the session and answers from the materialization, so ``auto``
+      never pays much more than materializing.  It can pay far more than
+      ``demand``: a demand evaluation that needs a few units per base fact
+      cuts over even where the materialization is much dearer (see
+      :mod:`repro.datalog.session`).
     """
 
     strategy: str = "auto"

@@ -23,9 +23,23 @@ calls, so
 
 A session constructed with ``defer_materialization=True`` starts *cold*: it
 holds its base facts but does not materialize until something needs the full
-fixpoint (a materialized answer, a mutation, a snapshot).  Demand-driven
-answers on a cold session never warm it, which is what makes cold
-point-query latency cheap — the ``auto`` strategy exists exactly for this.
+fixpoint (a materialized answer, a mutation, a snapshot).  The ``auto``
+strategy answers a bound query on a cold session demand-driven, under a work
+budget equal to :attr:`~ReasoningSession.base_fact_count`.  A demand
+evaluation that stays within the budget leaves the session cold; one that
+spends it gives way (a *cutover*): the session warms and answers from the
+materialization.  Loading and indexing the base facts is the floor of any
+materialization, so the budget is about the least a materialization costs,
+and a cutover costs the materialization plus that budget plus at most one
+more round of demand evaluation.
+
+The budget bounds ``auto`` against materialization only, not against
+demand: a demand evaluation that needs a few units per base fact cuts over
+even where materializing costs far more.  On a chain of N edges under
+transitive closure, demand for ``Reach(n0, ?y)`` does 4N + 2 units, the
+materialization N(N + 1)/2 + 2N + 1, and ``auto`` pays the latter.  An
+explicit ``"demand"`` strategy is never budgeted and never warms the
+session.
 
 Sessions are obtained from :meth:`repro.api.KnowledgeBase.session` (which
 supplies the compiled rewriting) or constructed directly from any Datalog
@@ -41,6 +55,7 @@ from ..logic.instance import Instance
 from ..logic.rules import Rule
 from ..logic.terms import Term
 from .engine import (
+    BudgetExceeded,
     DatalogEngine,
     DeltaUpdateResult,
     MaterializationResult,
@@ -105,6 +120,7 @@ class ReasoningSession:
         self._demand_magic_facts = 0
         self._demand_rounds = 0
         self._demand_predicates_touched = 0
+        self._demand_cutovers = 0
         if not defer_materialization:
             self._warm()
 
@@ -152,8 +168,8 @@ class ReasoningSession:
 
         Sessions opened with ``defer_materialization=True`` start cold and
         stay cold across demand-driven answers; any materialized-path access
-        (mutations, snapshots, materialized answers, the store itself) warms
-        them permanently.
+        (mutations, snapshots, materialized answers, an ``auto`` cutover,
+        the store itself) warms them permanently.
         """
         return self._store is None
 
@@ -307,12 +323,15 @@ class ReasoningSession:
     def resolve_strategy(
         self, query: ConjunctiveQuery, options: Optional[QueryOptions] = None
     ) -> str:
-        """The effective strategy for a query: ``"materialized"`` or ``"demand"``.
+        """The planned strategy for a query: ``"materialized"`` or ``"demand"``.
 
         ``auto`` resolves to ``demand`` exactly when the session is cold and
         the query carries at least one bound argument; answering a
         materialized-resolved query warms the session, so later ``auto``
-        queries in the same batch resolve to ``materialized``.
+        queries in the same batch resolve to ``materialized``.  The plan
+        stands even when an ``auto`` demand evaluation then spends its
+        budget and cuts over to the materialization (counted in
+        :attr:`demand_stats`).
         """
         strategy = options.strategy if options is not None else "auto"
         if strategy == "auto":
@@ -326,7 +345,7 @@ class ReasoningSession:
 
         On a cold session over a lazy source this returns the source itself,
         so the demand path (:func:`repro.datalog.magic.demand_answer`) can
-        restrict itself to the predicates its magic program demands.
+        decode only the predicates its magic program and query read.
         """
         if self._store is None:
             if self._lazy_source is not None:
@@ -334,10 +353,28 @@ class ReasoningSession:
             return self._pending
         return tuple(self._store.base_facts())
 
-    def _answer_demand(self, query: ConjunctiveQuery) -> FrozenSet[Tuple[Term, ...]]:
-        result = demand_answer(
-            self._engine.program, self._current_base_facts(), query
-        )
+    def _evaluate(
+        self, query: ConjunctiveQuery, options: Optional[QueryOptions]
+    ) -> FrozenSet[Tuple[Term, ...]]:
+        """Answer one query by its resolved strategy.
+
+        Under ``auto``, demand evaluation runs with a work budget of
+        :attr:`base_fact_count`; when it is spent, the session warms and
+        the query is answered from the materialization.
+        """
+        if self.resolve_strategy(query, options) != "demand":
+            return evaluate_query(query, self._warm())
+        budgeted = options is None or options.strategy == "auto"
+        try:
+            result = demand_answer(
+                self._engine.program,
+                self._current_base_facts(),
+                query,
+                max_work=self.base_fact_count if budgeted else None,
+            )
+        except BudgetExceeded:
+            self._demand_cutovers += 1
+            return evaluate_query(query, self._warm())
         self._demand_queries += 1
         self._demand_magic_facts += result.report.magic_facts
         self._demand_rounds += result.report.rounds
@@ -350,14 +387,17 @@ class ReasoningSession:
     def demand_stats(self) -> Dict[str, int]:
         """Cumulative counters for demand-driven answers on this session.
 
-        ``queries`` demand evaluations served; ``magic_facts`` and ``rounds``
-        summed over them; ``predicates_touched`` the worst case (maximum)
-        demand footprint in original predicates, against
-        ``predicates_total``.  See :mod:`repro.datalog.magic` for how to
-        read the footprint counters.
+        ``queries`` demand evaluations that answered; ``magic_facts`` and
+        ``rounds`` summed over them; ``predicates_touched`` the worst case
+        (maximum) demand footprint in original predicates, against
+        ``predicates_total``; ``cutovers`` the ``auto`` demand evaluations
+        that spent their work budget and gave way to the materialization.
+        See :mod:`repro.datalog.magic` for how to read the footprint
+        counters.
         """
         return {
             "queries": self._demand_queries,
+            "cutovers": self._demand_cutovers,
             "magic_facts": self._demand_magic_facts,
             "rounds": self._demand_rounds,
             "predicates_touched": self._demand_predicates_touched,
@@ -375,9 +415,7 @@ class ReasoningSession:
         Answers are strategy-invariant; ``options`` only chooses how much
         work is done (see :class:`~repro.datalog.query.QueryOptions`).
         """
-        if self.resolve_strategy(query, options) == "demand":
-            return self._answer_demand(query)
-        return evaluate_query(query, self._warm())
+        return self._evaluate(query, options)
 
     def answer_many(
         self,
@@ -393,15 +431,13 @@ class ReasoningSession:
         and fanned out — the serving layer's micro-batcher leans on this to
         amortize plan probes across concurrent requests asking the same
         thing.  Strategies resolve per query in input order: once one query
-        warms the session, later ``auto`` queries go materialized.
+        warms the session (a materialized answer or an ``auto`` cutover),
+        later ``auto`` queries go materialized.
         """
         evaluated: Dict[ConjunctiveQuery, FrozenSet[Tuple[Term, ...]]] = {}
         for query in queries:
             if query not in evaluated:
-                if self.resolve_strategy(query, options) == "demand":
-                    evaluated[query] = self._answer_demand(query)
-                else:
-                    evaluated[query] = evaluate_query(query, self._warm())
+                evaluated[query] = self._evaluate(query, options)
         return tuple(evaluated[query] for query in queries)
 
     def entails(self, fact: Atom) -> bool:

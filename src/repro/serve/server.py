@@ -252,6 +252,7 @@ class ReasoningServer:
         self._fault_plan = fault_plan
         self.cache = AnswerCache(cache_size)
         self._tier = None
+        #: pid -> the process counters its latest result or error carried
         self._worker_processes: Dict[str, Dict[str, object]] = {}
         self._closing = False
         self._started_at: Optional[float] = None
@@ -456,6 +457,7 @@ class ReasoningServer:
                 state.key, list(state.ops), state.checkpoint_payload()
             )
         except Exception as exc:  # noqa: B902 - delivered via the future
+            self._note_worker(getattr(exc, "process_counters", {}))
             self._resolve(pending, exception=exc)
             return
         self._note_worker(payload)
@@ -534,6 +536,7 @@ class ReasoningServer:
                 state.key, ops, texts, strategies, checkpoint
             )
         except Exception as exc:  # noqa: B902 - delivered via the futures
+            self._note_worker(getattr(exc, "process_counters", {}))
             for fingerprint in fingerprints:
                 for pending in misses[fingerprint]:
                     self._resolve(pending, exception=exc)
@@ -570,11 +573,18 @@ class ReasoningServer:
         else:
             pending.future.set_result(result)
 
-    def _note_worker(self, payload: Dict[str, object]) -> None:
-        pid = payload.get("pid")
-        stats = payload.get("compile_cache")
-        if pid is not None and isinstance(stats, dict):
-            self._worker_processes[str(pid)] = stats
+    def _note_worker(self, report: Dict[str, object]) -> None:
+        """Keep the process counters a worker result or error carried.
+
+        Each process counts from its start, so the latest report per pid is
+        that process's total; a dead process's last report still counts.
+        """
+        pid = report.get("pid")
+        if pid is not None:
+            self._worker_processes[str(pid)] = {
+                key: report[key]
+                for key in ("compile_cache", "session_rebuilds", "quarantined_sessions")
+            }
 
     # ------------------------------------------------------------------
     # stats endpoint
@@ -628,16 +638,24 @@ class ReasoningServer:
             sorted(merged_evaluated_by_strategy.items())
         )
         workers = dict(self._tier.describe()) if self._tier is not None else {}
-        workers["per_process_compile_cache"] = dict(self._worker_processes)
+        workers["per_process_compile_cache"] = {
+            pid: counters["compile_cache"]
+            for pid, counters in self._worker_processes.items()
+        }
         # the front-end process compiles too (KB loading); report it under
         # its own pid so inline mode still shows a per-process view
         workers.setdefault("frontend_compile_cache", compile_cache_stats())
+        processes = self._worker_processes.values()
         resilience = {
             "worker_restarts": workers.get("restarts", 0),
             "task_retries": workers.get("retries", 0),
             "recovery_wall_seconds": workers.get("recovery_wall_seconds", 0.0),
-            "worker_rebuilds": workers.get("session_rebuilds", 0),
-            "quarantined_sessions": workers.get("quarantined_sessions", 0),
+            "worker_rebuilds": sum(
+                counters["session_rebuilds"] for counters in processes
+            ),
+            "quarantined_sessions": sum(
+                counters["quarantined_sessions"] for counters in processes
+            ),
             "timeouts": merged.timeouts,
             "sheds": merged.sheds,
             "checkpoints": sum(

@@ -54,14 +54,18 @@ Worker results are JSON-ready dicts (answers pre-encoded via
 :func:`repro.serve.protocol.encode_answers`) so the pool pickles plain
 strings and ints, never interned term objects.  Each result also carries
 the worker's pid, its per-process compile-cache counters
-(:func:`repro.kb.cache.compile_cache_stats`), and ``ops_replayed`` — how
-many log entries this task's catch-up actually applied, the counter the
-checkpoint tests pin down.
+(:func:`repro.kb.cache.compile_cache_stats`), its ``session_rebuilds`` and
+``quarantined_sessions`` so far (the server sums the latest per pid), and
+``ops_replayed`` — how many log entries this task's catch-up actually
+applied, the counter the checkpoint tests pin down.  A task that fails
+raises with the same process counters in the exception's
+``process_counters``, so a quarantine is counted before the next task.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import multiprocessing
 import os
@@ -146,6 +150,27 @@ class _SessionEntry:
     @property
     def generation(self) -> int:
         return self.base + self.applied
+
+
+def _reporting_process_counters(task):
+    """Make a :class:`WorkerState` task report its process's counters.
+
+    The result gains them as keys; an exception the task raises carries
+    them in ``process_counters`` (a pool pickles exception attributes back
+    with the exception).
+    """
+
+    @functools.wraps(task)
+    def run(state: "WorkerState", *args, **kwargs) -> Dict[str, object]:
+        try:
+            result = task(state, *args, **kwargs)
+        except Exception as exc:
+            exc.process_counters = state._process_counters()
+            raise
+        result.update(state._process_counters())
+        return result
+
+    return run
 
 
 class WorkerState:
@@ -237,6 +262,7 @@ class WorkerState:
             raise
         return last, replayed
 
+    @_reporting_process_counters
     def answer_batch(
         self,
         name: str,
@@ -280,10 +306,9 @@ class WorkerState:
             "generation": entry.generation,
             "ops_replayed": replayed,
             "store_size": len(session),
-            "pid": os.getpid(),
-            "compile_cache": compile_cache_stats(),
         }
 
+    @_reporting_process_counters
     def apply_mutation(
         self, name: str, ops: OpLog, checkpoint: Checkpoint = None
     ) -> Dict[str, object]:
@@ -303,8 +328,15 @@ class WorkerState:
             "generation": entry.generation,
             "ops_replayed": replayed,
             "store_size": len(entry.session),
+        }
+
+    def _process_counters(self) -> Dict[str, object]:
+        """What every task reports about the process that ran it."""
+        return {
             "pid": os.getpid(),
             "compile_cache": compile_cache_stats(),
+            "session_rebuilds": self.rebuilds,
+            "quarantined_sessions": self.quarantined,
         }
 
 
@@ -407,8 +439,6 @@ class InlineWorkerTier:
             "restarts": 0,
             "retries": 0,
             "recovery_wall_seconds": 0.0,
-            "session_rebuilds": self._state.rebuilds,
-            "quarantined_sessions": self._state.quarantined,
         }
 
 

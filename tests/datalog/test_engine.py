@@ -1,6 +1,10 @@
 """Unit tests for semi-naive Datalog materialization."""
 
-from repro.datalog.engine import DatalogEngine, materialize
+import pickle
+
+import pytest
+
+from repro.datalog.engine import BudgetExceeded, DatalogEngine, materialize
 from repro.datalog.program import DatalogProgram
 from repro.logic.atoms import Predicate
 from repro.logic.parser import parse_facts, parse_program, parse_tgds
@@ -175,6 +179,29 @@ class TestSemiNaiveBookkeeping:
         uncapped = materialize(program.tgds, program.instance)
         assert capped.facts() == uncapped.facts()
         assert capped.rounds == uncapped.rounds == 3
+
+    def test_max_work_raises_once_the_work_passes_it(self):
+        # work is rule applications plus join steps: one of each per chain
+        # link, in round 0 and in semi-naive rounds 1-3
+        program = self._chain_program(4)
+        engine = DatalogEngine(DatalogProgram(program.tgds))
+        full = engine.materialize(program.instance)
+        work = full.rule_applications + full.join_stats["batches"]
+        assert work == 8
+        assert engine.materialize(program.instance, max_work=work).facts() == full.facts()
+        with pytest.raises(BudgetExceeded) as spent:
+            engine.materialize(program.instance, max_work=work - 1)
+        assert (spent.value.limit, spent.value.spent, spent.value.rounds) == (7, 8, 3)
+        assert str(spent.value) == "work budget of 7 spent: 8 units after 3 rounds"
+        # a pool worker hands its exceptions back pickled
+        copy = pickle.loads(pickle.dumps(spent.value))
+        assert (copy.limit, copy.spent, copy.rounds, str(copy)) == (
+            7, 8, 3, str(spent.value)
+        )
+        # checked after round 0 too: the first rule's join and application
+        with pytest.raises(BudgetExceeded) as spent:
+            engine.materialize(program.instance, max_work=1)
+        assert (spent.value.spent, spent.value.rounds) == (2, 0)
 
     def test_derived_count_is_new_facts_only(self):
         # deriving a fact that is already in the base instance counts nothing

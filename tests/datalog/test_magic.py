@@ -131,6 +131,73 @@ class TestTransformStructure:
         )
 
 
+class TestBoundFirstSips:
+    """Bindings pass to the body atom with the most bound arguments next."""
+
+    def test_a_body_opening_with_an_unjoined_atom_gets_no_all_free_goal(self):
+        # the shape of a rule in the benchmark's first answer KB: written
+        # order would demand C17^f, a cross product with every C17 fact
+        program = DatalogProgram(parse_program("""
+            C17(?x1), r4(?x2, ?x1) -> C20(?x2).
+            A(?x) -> C17(?x).
+            E(?x, ?y) -> r4(?x, ?y).
+        """).tgds)
+        c17, r4, c20 = Predicate("C17", 1), Predicate("r4", 2), Predicate("C20", 1)
+        transformed = magic_transform(program, [(c20, "b")])
+        assert set(transformed.goals) == {(c20, "b"), (r4, "bf"), (c17, "b")}
+        (rule,) = [
+            rule for rule in transformed.program.rules
+            if rule.head.predicate == transformed.adorned_predicates[(c20, "b")]
+            and len(rule.body) == 3
+        ]
+        assert [atom.predicate for atom in rule.body] == [
+            transformed.magic_predicates[(c20, "b")],
+            transformed.adorned_predicates[(r4, "bf")],
+            transformed.adorned_predicates[(c17, "b")],
+        ]
+        # r4's demand needs only the guard; C17's reads r4's answers
+        magic_bodies = {
+            rule.head.predicate: [atom.predicate for atom in rule.body]
+            for rule in transformed.program.rules
+            if rule.head.predicate.name.startswith("magic__")
+        }
+        assert magic_bodies[transformed.magic_predicates[(r4, "bf")]] == [
+            transformed.magic_predicates[(c20, "b")]
+        ]
+        assert magic_bodies[transformed.magic_predicates[(c17, "b")]] == [
+            transformed.magic_predicates[(c20, "b")],
+            transformed.adorned_predicates[(r4, "bf")],
+        ]
+        facts = parse_facts("A(n1). A(n2). E(m, n1). E(k, n3).")
+        result = assert_demand_matches_materialized(program, facts, "C20(m)")
+        assert result.answers == {()}
+
+    def test_ties_go_to_edb_atoms_then_to_written_order(self):
+        # under H^b every body atom has one bound argument: E (EDB) goes
+        # first; I and J then tie again and keep their written order
+        program = DatalogProgram(parse_program("""
+            I(?x, ?y), J(?x, ?z), E(?x, ?w) -> H(?x).
+            F(?x, ?y) -> I(?x, ?y).
+            F(?x, ?y) -> J(?x, ?y).
+        """).tgds)
+        h, i, j = Predicate("H", 1), Predicate("I", 2), Predicate("J", 2)
+        transformed = magic_transform(program, [(h, "b")])
+        (rule,) = [
+            rule for rule in transformed.program.rules
+            if rule.head.predicate == transformed.adorned_predicates[(h, "b")]
+            and len(rule.body) == 4
+        ]
+        assert [atom.predicate for atom in rule.body] == [
+            transformed.magic_predicates[(h, "b")],
+            Predicate("E", 2),
+            transformed.adorned_predicates[(i, "bf")],
+            transformed.adorned_predicates[(j, "bf")],
+        ]
+        facts = parse_facts("F(a, b). E(a, c). F(d, e).")
+        assert_demand_matches_materialized(program, facts, "H(a)")
+        assert_demand_matches_materialized(program, facts, "H(d)")
+
+
 class TestDemandAnswersMatchMaterialized:
     FACTS = "Edge(a, b). Edge(b, c). Edge(c, d). Edge(e, f)."
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.datalog import DatalogProgram, ReasoningSession, materialize
+from repro.datalog.engine import BudgetExceeded
+from repro.datalog.magic import demand_answer
 from repro.datalog.query import parse_query
 from repro.logic.atoms import Predicate
 from repro.logic.parser import parse_fact, parse_facts, parse_program
@@ -305,6 +307,10 @@ class TestUpdateWork:
         assert session.facts() == rebuild.facts()
 
 
+#: a second component that no demand from a, b or c reaches
+UNRELATED = " ".join(f"Edge(x{i}, x{i + 1})." for i in range(20))
+
+
 def _cold_session(facts="Edge(a, b). Edge(b, c)."):
     program = parse_program(CLOSURE)
     return ReasoningSession(
@@ -381,27 +387,37 @@ class TestStrategyResolution:
         )
 
     def test_answer_many_resolves_per_query_in_input_order(self):
-        # the zero-bound query warms the session; the earlier bound query
-        # must already have been answered demand-driven, the later one goes
-        # materialized because the store now exists
+        # on two facts, demand for the first query spends more work (10
+        # units) than the budget of 2 allows: it cuts over and warms the
+        # session, so every later query goes materialized
+        queries = [
+            parse_query("Reach(a, ?y)"),
+            parse_query("Reach(?x, ?y)"),
+            parse_query("Reach(b, ?y)"),
+        ]
         session = _cold_session()
-        answers = session.answer_many(
-            [
-                parse_query("Reach(a, ?y)"),
-                parse_query("Reach(?x, ?y)"),
-                parse_query("Reach(b, ?y)"),
-            ]
-        )
+        answers = session.answer_many(queries)
+        assert not session.is_cold
+        assert session.demand_stats["queries"] == 0
+        assert session.demand_stats["cutovers"] == 1
+        assert answers == _closure_session().answer_many(queries)
+
+    def test_answer_many_answers_by_demand_until_a_query_warms_the_session(self):
+        # with an unrelated component the same demand fits its budget: the
+        # bound query is answered demand-driven without warming the session,
+        # the zero-bound query warms it, and the last one goes materialized
+        facts = "Edge(a, b). Edge(b, c). " + UNRELATED
+        queries = [
+            parse_query("Reach(a, ?y)"),
+            parse_query("Reach(?x, ?y)"),
+            parse_query("Reach(b, ?y)"),
+        ]
+        session = _cold_session(facts)
+        answers = session.answer_many(queries)
         assert not session.is_cold
         assert session.demand_stats["queries"] == 1
-        warm = _closure_session()
-        assert answers == warm.answer_many(
-            [
-                parse_query("Reach(a, ?y)"),
-                parse_query("Reach(?x, ?y)"),
-                parse_query("Reach(b, ?y)"),
-            ]
-        )
+        assert session.demand_stats["cutovers"] == 0
+        assert answers == _closure_session(facts).answer_many(queries)
 
     def test_demand_on_a_warm_mutated_session_sees_the_mutations(self):
         from repro.datalog import QueryOptions
@@ -435,3 +451,101 @@ class TestStrategyResolution:
 
         with pytest.raises(ValueError, match="strategy"):
             QueryOptions(strategy="telepathy")
+
+
+class TestAutoCutover:
+    """``auto`` pays for demand evaluation only up to a work budget.
+
+    Under ``auto``, a cold session's demand evaluation runs with a budget of
+    ``base_fact_count`` work units (rule applications plus join steps) and
+    cuts over to the materialization once it spends more.  These tests pin
+    that by work counts, which are the same on every machine and under
+    every hash seed: the unbudgeted demand evaluation's ``work`` decides
+    whether ``auto`` cuts over, whichever side is cheaper.
+    """
+
+    #: a complete graph: demand for everything reaching n0 spreads to every
+    #: node and does more work than the whole materialization
+    DENSE = " ".join(
+        f"Edge(n{i}, n{j})." for i in range(6) for j in range(6) if i != j
+    )
+
+    @staticmethod
+    def _work(result):
+        return result.rule_applications + result.join_stats["batches"]
+
+    def test_a_spreading_demand_cuts_over_to_the_materialization(self):
+        program = DatalogProgram(parse_program(CLOSURE).tgds)
+        facts = tuple(parse_facts(self.DENSE))
+        query = parse_query("Reach(?x, n0)")
+        budget = len(facts)
+        demand = demand_answer(program, facts, query).report
+        assert demand.work > self._work(materialize(program, facts)) > budget
+        with pytest.raises(BudgetExceeded) as spent:
+            demand_answer(program, facts, query, max_work=budget)
+        # checked after every round: stopped one round past the budget,
+        # before the unbudgeted evaluation's last round
+        assert budget < spent.value.spent < demand.work
+        assert spent.value.rounds < demand.rounds
+
+        session = _cold_session(self.DENSE)
+        assert session.base_fact_count == budget
+        assert session.resolve_strategy(query) == "demand"
+        answers = session.answer(query)
+        assert not session.is_cold
+        assert session.demand_stats["cutovers"] == 1
+        assert session.demand_stats["queries"] == 0
+        assert answers == _closure_session(self.DENSE).answer(query)
+        assert len(answers) == 6
+        # warm now: later auto queries go materialized
+        assert session.resolve_strategy(query) == "materialized"
+
+    def test_a_selective_demand_stays_within_budget_and_cold(self):
+        program = DatalogProgram(parse_program(CLOSURE).tgds)
+        text = "Edge(a, b). Edge(b, c). " + UNRELATED
+        facts = tuple(parse_facts(text))
+        query = parse_query("Reach(a, ?y)")
+        demand = demand_answer(program, facts, query).report
+        assert demand.work <= len(facts) < self._work(materialize(program, facts))
+        session = _cold_session(text)
+        answers = session.answer(query)
+        assert session.is_cold
+        assert session.demand_stats["queries"] == 1
+        assert session.demand_stats["cutovers"] == 0
+        assert answers == _closure_session(text).answer(query)
+
+    def test_a_chain_cuts_over_although_demand_is_the_cheaper_side(self):
+        # the budget bounds auto against materialization only: along a
+        # chain, demand advances one hop per round and spends 4N + 2 units,
+        # more than the N base facts, while materializing the closure costs
+        # N(N + 1)/2 + 2N + 1; auto pays both, about N/8 times the demand
+        program = DatalogProgram(parse_program(CLOSURE).tgds)
+        n = 50
+        text = " ".join(f"Edge(n{i}, n{i + 1})." for i in range(n))
+        facts = tuple(parse_facts(text))
+        query = parse_query("Reach(n0, ?y)")
+        demand = demand_answer(program, facts, query).report
+        full = self._work(materialize(program, facts))
+        assert demand.work == 4 * n + 2
+        assert full == n * (n + 1) // 2 + 2 * n + 1
+        with pytest.raises(BudgetExceeded) as spent:
+            demand_answer(program, facts, query, max_work=n)
+        assert n < spent.value.spent < demand.work
+        assert spent.value.spent + full > (n // 8) * demand.work
+
+        session = _cold_session(text)
+        answers = session.answer(query)
+        assert session.demand_stats["cutovers"] == 1
+        assert not session.is_cold
+        assert answers == _closure_session(text).answer(query)
+        assert len(answers) == n
+
+    def test_explicit_demand_is_never_budgeted(self):
+        from repro.datalog import QueryOptions
+
+        session = _cold_session(self.DENSE)
+        query = parse_query("Reach(?x, n0)")
+        answers = session.answer(query, options=QueryOptions(strategy="demand"))
+        assert session.is_cold
+        assert session.demand_stats["cutovers"] == 0
+        assert answers == _closure_session(self.DENSE).answer(query)

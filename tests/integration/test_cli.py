@@ -371,6 +371,12 @@ class TestServeCommand:
         assert exit_code == 2
         assert "error: worker count" in capsys.readouterr().err
 
+    def test_serve_rejects_an_out_of_range_port(self, kb_file, capsys):
+        for port in ("99999", "-1"):
+            exit_code = main(["serve", f"cim={kb_file}", "--port", port])
+            assert exit_code == 2
+            assert f"error: port must be 0-65535, got {port}" in capsys.readouterr().err
+
 
 class TestStatsCommand:
     def test_stats_output(self, dependency_file, capsys):

@@ -151,6 +151,11 @@ class TestFactSegments:
         """The lazy-segment acceptance criterion: a repro-kb/v2 KB answers a
         bound demand query with ``predicates_loaded < total_predicates``."""
         kb, facts = self._kb_and_facts()
+        # unrelated facts make the demand selective: it fits the auto
+        # budget of one work unit per base fact
+        facts += tuple(parse_program(" ".join(
+            f"Tag(u{i})." for i in range(20)
+        )).instance)
         path = kb.save(tmp_path / "kb.json", facts=facts)
         loaded, seed = KnowledgeBase.load_or_compile(path)
         segments = loaded.fact_segments
@@ -162,7 +167,56 @@ class TestFactSegments:
         assert answers == kb.answer_many([query], facts)[0]
         # ...while the session stayed cold and decoded a strict subset
         assert session.is_cold
+        assert session.demand_stats["cutovers"] == 0
         assert 0 < segments.predicates_loaded < segments.total_predicates
+
+    def test_unselective_auto_demand_on_a_lazy_source_cuts_over(self, tmp_path):
+        # on the bare fixture the same demand spends more work than its
+        # budget (6 base facts): auto warms the session, decoding every
+        # segment, and answers from the materialization
+        kb, facts = self._kb_and_facts()
+        path = kb.save(tmp_path / "kb.json", facts=facts)
+        loaded, seed = KnowledgeBase.load_or_compile(path)
+        session = loaded.session(seed, defer_materialization=True)
+        query = parse_query("Equipment(sw1)")
+        assert session.answer(query) == kb.session(facts).answer(query) == {()}
+        assert not session.is_cold
+        assert session.demand_stats["cutovers"] == 1
+        assert seed.predicates_loaded == seed.total_predicates
+
+    @pytest.mark.parametrize(
+        "query_text, expected",
+        [
+            ("Other(a, ?x)", {("q",)}),
+            ("Edge(a, ?x)", {("b",)}),
+            ("Reach(b), Other(a, ?y)", {("q",)}),
+        ],
+    )
+    def test_lazy_demand_reads_the_query_own_predicates(
+        self, tmp_path, query_text, expected
+    ):
+        """A query atom on a predicate no demanded rule reads still sees its
+        facts: the lazy source decodes the query's predicates too."""
+        from repro.datalog.query import QueryOptions
+
+        program = parse_program("""
+            Start(?x) -> Reach(?x).
+            Reach(?x), Edge(?x, ?y) -> Reach(?y).
+        """)
+        kb = KnowledgeBase.compile(program.tgds)
+        facts = tuple(parse_program(
+            "Start(a). Edge(a, b). Edge(b, c). Other(a, q)."
+        ).instance)
+        loaded, seed = KnowledgeBase.load_or_compile(
+            kb.save(tmp_path / "kb.json", facts=facts)
+        )
+        session = loaded.session(seed, defer_materialization=True)
+        query = parse_query(query_text)
+        # explicit demand is unbudgeted, so this tiny KB stays on the lazy path
+        answers = session.answer(query, options=QueryOptions(strategy="demand"))
+        assert session.is_cold
+        assert {tuple(str(term) for term in row) for row in answers} == expected
+        assert answers == kb.session(facts).answer(query)
 
     def test_warming_a_lazy_session_matches_eager_one(self, tmp_path):
         kb, facts = self._kb_and_facts()

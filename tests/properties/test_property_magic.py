@@ -4,9 +4,11 @@ The magic-sets transformation is answer-preserving by construction; these
 properties enforce it empirically over random guarded TGD sets and random
 instances — including zero-bound queries (where the transformation
 degenerates to reachability-restricted full materialization) and sessions
-mutated by random add/retract interleavings.  A final property pins the
-serving-layer contract the answer cache relies on: a query's cache entry
-(fingerprint plus encoded answers) is identical under either strategy.
+mutated by random add/retract interleavings.  ``auto`` must agree too,
+whether or not its demand evaluation spends the work budget and cuts over
+to the materialization.  A final property pins the serving-layer contract
+the answer cache relies on: a query's cache entry (fingerprint plus encoded
+answers) is identical under either strategy.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -15,8 +17,11 @@ from hypothesis import strategies as st
 from repro.datalog import DatalogProgram, QueryOptions, ReasoningSession, materialize
 from repro.datalog.magic import demand_answer
 from repro.datalog.query import ConjunctiveQuery, evaluate_query
-from repro.logic.atoms import Atom
+from repro.kb import FactSegments
+from repro.kb.format import fact_segments_payload
+from repro.logic.atoms import Atom, Predicate
 from repro.logic.rules import datalog_tgd_to_rule
+from repro.logic.terms import Constant
 
 from .strategies import PREDICATE_POOL, atoms, base_instances, guarded_tgd_sets
 
@@ -105,6 +110,57 @@ class TestDemandEquivalence:
         assert demand == session.answer(
             query, options=QueryOptions(strategy="materialized")
         )
+
+
+#: a predicate outside the random programs' pool: its facts only raise the
+#: base fact count, and with it the auto budget
+PADDING = Predicate("Padding", 1)
+
+
+class TestAutoCutover:
+    @RELAXED
+    @given(
+        guarded_tgd_sets(max_size=4),
+        base_instances(max_size=5),
+        queries(),
+        st.integers(min_value=0, max_value=40),
+        st.booleans(),
+    )
+    def test_auto_equals_materialized_whether_or_not_it_cuts_over(
+        self, tgds, facts, query, padding, lazy
+    ):
+        """Random base facts assert IDB predicates too; padding moves the
+        budget, so the cutover fires on some examples and not on others.
+        It fires exactly when the unbudgeted demand evaluation's work
+        exceeds the base fact count."""
+        program = _program(tgds)
+        facts = tuple(facts) + tuple(
+            Atom(PADDING, (Constant(f"p{index}"),)) for index in range(padding)
+        )
+        expected = ReasoningSession(program, facts).answer(query)
+
+        def source():
+            return FactSegments(fact_segments_payload(facts)) if lazy else facts
+
+        auto = ReasoningSession(program, source(), defer_materialization=True)
+        planned = auto.resolve_strategy(query)
+        assert auto.answer(query) == expected
+        stats = auto.demand_stats
+        if planned == "demand":
+            work = demand_answer(program, facts, query).report.work
+            cutover = work > len(set(facts))
+            assert stats["cutovers"] == int(cutover)
+            assert stats["queries"] == int(not cutover)
+            # a demand answer leaves the session cold; a cutover warms it
+            assert auto.is_cold != cutover
+        else:
+            assert stats["queries"] == stats["cutovers"] == 0
+            assert not auto.is_cold
+
+        explicit = ReasoningSession(program, source(), defer_materialization=True)
+        assert explicit.answer(query, options=QueryOptions(strategy="demand")) == expected
+        assert explicit.is_cold
+        assert explicit.demand_stats["cutovers"] == 0
 
 
 class TestCacheEntryStrategyInvariance:

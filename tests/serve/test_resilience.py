@@ -383,6 +383,41 @@ class TestCheckpoints:
         assert stats["fault_injection"]["kills"] == (1 if workers else 0)
         assert stats["resilience"]["worker_restarts"] == (1 if workers else 0)
 
+    def test_a_pool_session_behind_a_checkpoint_rebuilds_and_is_counted(self, kb):
+        # each pool process counts its own rebuilds, and only the results
+        # it returns carry them to the server's ledger
+        async def scenario():
+            plan = FaultPlan()
+            server = await make_server(
+                kb, workers=2, checkpoint_threshold=2, fault_plan=plan
+            )
+            try:
+                # a delayed warm-up task holds one process, so the other
+                # process takes the second task: both hold a session
+                plan.schedule_delay_on_next_task(0.4)
+                await server.warm()
+                client = server.local_client()
+                # each mutation runs on one process, so after the second
+                # one (and the checkpoint it triggers) a session is behind
+                for _, fact in self.MUTATIONS[:2]:
+                    await client.add_facts(fact)
+                plan.schedule_delay_on_next_task(0.4)
+                await server.warm()
+                answered = await client.query("Equipment(?x)")
+                return answered, await client.stats()
+            finally:
+                await server.shutdown()
+
+        answered, stats = asyncio.run(scenario())
+        assert stats["kbs"]["cim"]["checkpoints"] == 1
+        assert stats["resilience"]["worker_rebuilds"] >= 1
+        assert stats["resilience"]["quarantined_sessions"] == 0
+        assert answered["answers"] == oracle(
+            kb,
+            FACT_LINES + [fact for _, fact in self.MUTATIONS[:2]],
+            "Equipment(?x)",
+        )
+
     def test_cold_worker_replays_less_than_the_full_history(self, kb):
         # the acceptance criterion: after checkpointing, a brand-new worker
         # builds from the snapshot and replays only the post-checkpoint
@@ -427,6 +462,30 @@ class TestQuarantine:
         assert payload["answers"][0] == oracle(
             kb, FACT_LINES + ["ACEquipment(sw9)."], "ACEquipment(?x)"
         )
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_a_quarantine_reaches_the_ledger_before_the_next_task(self, kb, workers):
+        # the failed task's error carries its process counters: the ledger
+        # must not wait for that process to finish another task
+        async def scenario():
+            server = await make_server(kb, workers=workers)
+            try:
+                await server.warm()
+                client = server.local_client()
+                await client.add_facts("ACEquipment(sw9).")
+                # the front end rejects malformed facts before they enter
+                # the log, so plant one past the op every session applied
+                state = server._states[server._names["cim"]]
+                state.ops.append(("add", "NotAFact("))
+                with pytest.raises(ServeError, match="ParseError"):
+                    await client.query("Equipment(?x)")
+                return await client.stats()
+            finally:
+                await server.shutdown()
+
+        stats = asyncio.run(scenario())
+        assert stats["resilience"]["quarantined_sessions"] == 1
+        assert stats["resilience"]["worker_rebuilds"] == 0
 
 
 class TestClientDisconnect:
