@@ -77,7 +77,7 @@ from .datalog.program import DatalogProgram
 from .datalog.query import ConjunctiveQuery, QueryOptions
 from .datalog.session import ReasoningSession
 from .kb.cache import cached_rewrite, sigma_fingerprint
-from .kb.format import FactSegments, read_kb_file_with_segments, write_kb_file
+from .kb.format import FactSegments, parse_kb_text, write_kb_file
 from .logic.atoms import Atom
 from .logic.instance import Instance
 from .logic.terms import Term
@@ -169,7 +169,8 @@ class KnowledgeBase:
         mismatches.  Fact segments, if present, are exposed as
         :attr:`fact_segments`.
         """
-        tgds, rewriting, segments = read_kb_file_with_segments(path)
+        text = Path(path).read_text(encoding="utf-8")
+        tgds, rewriting, segments = parse_kb_text(text)
         return cls(tgds=tgds, rewriting=rewriting, fact_segments=segments)
 
     @classmethod
@@ -189,24 +190,11 @@ class KnowledgeBase:
         the ``serve-batch`` CLI and the long-lived server
         (:mod:`repro.serve`).
         """
-        from .kb.format import load_knowledge_base_payload_with_segments
         from .logic.parser import parse_program
 
         text = Path(path).read_text(encoding="utf-8")
         if text.lstrip().startswith("{"):
-            import json
-
-            from .kb.format import KnowledgeBaseFormatError
-
-            try:
-                payload = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise KnowledgeBaseFormatError(
-                    f"KB file is not valid JSON: {exc}"
-                ) from exc
-            tgds, rewriting, segments = load_knowledge_base_payload_with_segments(
-                payload
-            )
+            tgds, rewriting, segments = parse_kb_text(text)
             kb = cls(tgds=tgds, rewriting=rewriting, fact_segments=segments)
             return kb, (segments if segments is not None else Instance())
         program = parse_program(text)

@@ -188,13 +188,7 @@ def _command_compile(args: argparse.Namespace) -> int:
 
 def _command_load(args: argparse.Namespace) -> int:
     """Inspect a saved knowledge base: summary and (optionally) its rules."""
-    from .kb import KnowledgeBaseFormatError
-
-    try:
-        kb = KnowledgeBase.load(args.knowledge_base)
-    except (KnowledgeBaseFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    kb = KnowledgeBase.load(args.knowledge_base)
     stats = kb.rewriting.statistics
     print(f"algorithm:      {kb.rewriting.algorithm}")
     print(f"input TGDs:     {len(kb.tgds)}")
@@ -227,27 +221,21 @@ def _read_queries(path: str) -> List:
 
 def _command_serve_batch(args: argparse.Namespace) -> int:
     """Open a session, apply delta files incrementally, answer a query batch."""
-    from .kb import KnowledgeBaseFormatError
-
-    try:
-        kb, seed_facts = KnowledgeBase.load_or_compile(
-            args.knowledge_base,
-            algorithm=args.algorithm,
-            settings=_settings_from_args(args),
-        )
-    except (KnowledgeBaseFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    kb, seed_facts = KnowledgeBase.load_or_compile(
+        args.knowledge_base,
+        algorithm=args.algorithm,
+        settings=_settings_from_args(args),
+    )
     if not kb.rewriting.completed:
-        print(
-            "error: the rewriting is incomplete (timeout or clause limit hit "
-            "during compile); serving it would silently drop certain answers — "
-            "recompile without limits",
-            file=sys.stderr,
+        raise ValueError(
+            "the rewriting is incomplete (timeout or clause limit hit during "
+            "compile); serving it would silently drop certain answers — "
+            "recompile without limits"
         )
-        return 2
     instance = parse_program(Path(args.facts).read_text(encoding="utf-8")).instance
     instance.update(seed_facts)
+    # parse every query before paying for the session and the deltas
+    queries = _read_queries(args.queries)
     # demand/auto strategies want a cold session so bound point queries can
     # go goal-directed; the materialized strategy pays the fixpoint up front
     strategy = getattr(args, "strategy", "auto") or "auto"
@@ -292,7 +280,6 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             )
     from .datalog.query import QueryOptions
 
-    queries = _read_queries(args.queries)
     start = time.perf_counter()
     answer_sets = session.answer_many(queries, options=QueryOptions(strategy=strategy))
     elapsed = time.perf_counter() - start
@@ -368,45 +355,36 @@ async def _serve_until_signalled(server, host: str, port: int) -> int:
 
 def _command_serve(args: argparse.Namespace) -> int:
     """Boot the long-lived reasoning server (see :mod:`repro.serve`)."""
-    from .kb import KnowledgeBaseFormatError
     from .logic.instance import Instance
     from .serve.server import ReasoningServer, ServedKB
 
     # bind() would reject it only inside the event loop, as a traceback
     if not 0 <= args.port <= 65535:
-        print(f"error: port must be 0-65535, got {args.port}", file=sys.stderr)
-        return 2
+        raise ValueError(f"port must be 0-65535, got {args.port}")
     loaded = {}
     order = []
-    try:
-        for spec in args.knowledge_base:
-            name, path = _parse_named_path(spec)
-            if name in loaded:
-                print(f"error: duplicate knowledge base name {name!r}", file=sys.stderr)
-                return 2
-            kb, seed_facts = KnowledgeBase.load_or_compile(
-                path, algorithm=args.algorithm, settings=_settings_from_args(args)
+    for spec in args.knowledge_base:
+        name, path = _parse_named_path(spec)
+        if name in loaded:
+            raise ValueError(f"duplicate knowledge base name {name!r}")
+        kb, seed_facts = KnowledgeBase.load_or_compile(
+            path, algorithm=args.algorithm, settings=_settings_from_args(args)
+        )
+        seed = Instance()
+        seed.update(seed_facts)
+        loaded[name] = (kb, seed)
+        order.append(name)
+    default = order[0] if len(order) == 1 else None
+    for spec in args.facts or ():
+        name, path = _parse_named_path(spec, default_name=default)
+        if name not in loaded:
+            raise ValueError(
+                f"--facts {spec!r} names no loaded knowledge base "
+                f"(loaded: {', '.join(order)}); use NAME=PATH"
             )
-            seed = Instance()
-            seed.update(seed_facts)
-            loaded[name] = (kb, seed)
-            order.append(name)
-        default = order[0] if len(order) == 1 else None
-        for spec in args.facts or ():
-            name, path = _parse_named_path(spec, default_name=default)
-            if name not in loaded:
-                print(
-                    f"error: --facts {spec!r} names no loaded knowledge base "
-                    f"(loaded: {', '.join(order)}); use NAME=PATH",
-                    file=sys.stderr,
-                )
-                return 2
-            loaded[name][1].update(
-                parse_program(Path(path).read_text(encoding="utf-8")).instance
-            )
-    except (KnowledgeBaseFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        loaded[name][1].update(
+            parse_program(Path(path).read_text(encoding="utf-8")).instance
+        )
     options = {}
     if args.default_deadline_ms is not None:
         # 0 = no deadline; the server models that as None
@@ -415,17 +393,13 @@ def _command_serve(args: argparse.Namespace) -> int:
         options["max_queue_depth"] = args.max_queue_depth or None
     if args.checkpoint_threshold is not None:
         options["checkpoint_threshold"] = args.checkpoint_threshold
-    try:
-        server = ReasoningServer(
-            [ServedKB(name, *loaded[name]) for name in order],
-            workers=args.workers,
-            cache_size=args.cache_size,
-            max_batch_size=args.max_batch_size,
-            **options,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    server = ReasoningServer(
+        [ServedKB(name, *loaded[name]) for name in order],
+        workers=args.workers,
+        cache_size=args.cache_size,
+        max_batch_size=args.max_batch_size,
+        **options,
+    )
     return asyncio.run(_serve_until_signalled(server, args.host, args.port))
 
 
@@ -636,9 +610,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; returns its exit status.
+
+    Every input error ends here as ``error: <message>`` on stderr with exit
+    status 2, never a traceback.  Input errors are :class:`ValueError`
+    (a syntax error, an unguarded TGD, an invalid query, a malformed KB
+    file, a bad setting or server option) and :class:`OSError` (a missing
+    or unreadable file).  Exit status 1 stays ``entails``' "not entailed".
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -137,7 +137,6 @@ class DatalogEngine:
         self.program = program
         self._rules_by_body = program.rules_by_body_predicate()
         self._rules_by_head = program.rules_by_head()
-        self.join_stats = JoinPlanStats()
         self._plans: Dict[Rule, RulePlan] = {rule: RulePlan(rule) for rule in program}
 
     # ------------------------------------------------------------------
@@ -178,7 +177,6 @@ class DatalogEngine:
         rounds, derived, loop_applications = self._fixpoint_loop(
             store, new_rows, stats, max_rounds, max_work, applications
         )
-        self.join_stats.merge(stats)
         return MaterializationResult(
             store=store,
             rounds=rounds,
@@ -220,7 +218,6 @@ class DatalogEngine:
         for predicate, row in asserted:
             if not store.is_base_row(predicate, row):
                 store.mark_base_row(predicate, row)
-        self.join_stats.merge(stats)
         return DeltaUpdateResult(
             added_facts=added,
             derived_count=derived - added,
@@ -319,7 +316,6 @@ class DatalogEngine:
                 store.remove_row(predicate, row)
             delta = candidates
 
-        self.join_stats.merge(stats)
         return RetractionResult(
             retracted_facts=len(seeds),
             ignored_facts=ignored,
@@ -548,8 +544,8 @@ def compiled_engine(program: DatalogProgram) -> DatalogEngine:
 
     Keyed by the program's (interned) rule tuple, so every session, one-shot
     materialization, and knowledge base serving the same rewriting reuses
-    one set of compiled plans.  Engines are stateless with respect to fact
-    stores; only the lifetime join statistics accumulate.
+    one set of compiled plans.  Engines keep no state beyond their plans:
+    each call counts its join work into its own block.
     """
     key = program.rules
     engine = _ENGINE_CACHE.get(key)

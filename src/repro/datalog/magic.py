@@ -70,7 +70,7 @@ Reading the ``magic`` stats counters
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..logic.atoms import Atom, Predicate
@@ -344,16 +344,7 @@ class DemandReport:
     predicates_total: int
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "adorned_rules": self.adorned_rules,
-            "magic_rules": self.magic_rules,
-            "copy_rules": self.copy_rules,
-            "magic_facts": self.magic_facts,
-            "rounds": self.rounds,
-            "work": self.work,
-            "predicates_touched": self.predicates_touched,
-            "predicates_total": self.predicates_total,
-        }
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -57,10 +57,12 @@ and the query answer projection; the engine commits
 Reading the join-plan counters
 ------------------------------
 
-:class:`JoinPlanStats` counts the pipeline work.  An engine keeps lifetime
-totals (``DatalogEngine.join_stats``), every materialization, extension and
-retraction result carries a ``join_stats`` snapshot, and a session sums
-those snapshots (``ReasoningSession.join_stats``).  The repository
+:class:`JoinPlanStats` counts the pipeline work; it is a block of the
+shared counters (:class:`repro.obs.Counters`).  Every execution takes the
+block to count into: each materialization, extension and retraction counts
+into its own block and returns its snapshot as ``join_stats``, a session
+merges those snapshots (``ReasoningSession.join_stats``), and a query
+evaluation counts into a fresh block that it drops.  The repository
 benchmark (``perfbench/``) reports ``probes`` and ``probe_hits`` as its
 ``datalog.engine.join_probes`` and ``join_hit_rate`` per-layer metrics:
 
@@ -96,11 +98,12 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 from ..logic.atoms import Atom, Predicate
 from ..logic.rules import Rule
 from ..logic.terms import Variable
+from ..obs import Counters, rate
 from .store import FactStore, Row
 
 
-class JoinPlanStats:
-    """Aggregated counters for plan execution (see the module docstring)."""
+class JoinPlanStats(Counters):
+    """Counters for plan execution (see the module docstring)."""
 
     __slots__ = (
         "batches",
@@ -112,51 +115,7 @@ class JoinPlanStats:
         "deletion_batches",
         "deletion_rows",
     )
-
-    def __init__(self) -> None:
-        self.batches = 0
-        self.probes = 0
-        self.probe_hits = 0
-        self.rows_emitted = 0
-        self.empty_delta_short_circuits = 0
-        self.empty_relation_short_circuits = 0
-        # retraction traffic: pipelines run pivoted on a deleted delta,
-        # and the candidate-deletion rows they emitted
-        self.deletion_batches = 0
-        self.deletion_rows = 0
-
-    def merge(self, other: "JoinPlanStats") -> None:
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def snapshot(self) -> Dict[str, object]:
-        return self.with_hit_rate(
-            {name: getattr(self, name) for name in self.__slots__}
-        )
-
-    @staticmethod
-    def merge_snapshot(
-        total: Dict[str, int], snapshot: Optional[Dict[str, object]]
-    ) -> Dict[str, int]:
-        """Sum the integer counters of a per-call snapshot into ``total``.
-
-        Derived values such as ``hit_rate`` are skipped; recompute them over
-        the summed counters with :meth:`with_hit_rate`.
-        """
-        if snapshot:
-            for key, value in snapshot.items():
-                if isinstance(value, int):
-                    total[key] = total.get(key, 0) + value
-        return total
-
-    @staticmethod
-    def with_hit_rate(counters: Dict[str, object]) -> Dict[str, object]:
-        """Return ``counters`` with ``hit_rate`` (avg facts per probe) set."""
-        probes = counters.get("probes", 0)
-        counters["hit_rate"] = (
-            round(counters.get("probe_hits", 0) / probes, 4) if probes else 0.0
-        )
-        return counters
+    DERIVED = {"hit_rate": lambda stats: rate(stats.probe_hits, stats.probes)}
 
 
 class BindingBatch:
@@ -322,8 +281,8 @@ class PlanVariant:
     def execute(
         self,
         store: FactStore,
-        delta_by_predicate: Optional[Dict[Predicate, List[Row]]] = None,
-        stats: Optional[JoinPlanStats] = None,
+        delta_by_predicate: Optional[Dict[Predicate, List[Row]]],
+        stats: JoinPlanStats,
         seed: Optional[BindingBatch] = None,
     ) -> BindingBatch:
         """Run the pipeline; returns the batch of complete body matches.
@@ -343,12 +302,10 @@ class PlanVariant:
                     else None
                 )
                 if not bucket:
-                    if stats is not None:
-                        stats.empty_delta_short_circuits += 1
+                    stats.empty_delta_short_circuits += 1
                     return BindingBatch.empty()
             elif not store.count(step.atom.predicate):
-                if stats is not None:
-                    stats.empty_relation_short_circuits += 1
+                stats.empty_relation_short_circuits += 1
                 return BindingBatch.empty()
         batch = BindingBatch.unit() if seed is None else seed
         for position, step in zip(self.order, self.steps):
@@ -360,15 +317,14 @@ class PlanVariant:
                 batch = self._join(step, store, batch, stats, None)
             if not batch.size:
                 return batch
-        if stats is not None:
-            stats.rows_emitted += batch.size
+        stats.rows_emitted += batch.size
         return batch
 
     def execute_deletion(
         self,
         store: FactStore,
         deleted_by_predicate: Optional[Dict[Predicate, List[Row]]],
-        stats: Optional[JoinPlanStats] = None,
+        stats: JoinPlanStats,
     ) -> BindingBatch:
         """Run the pipeline pivoted on a *deleted* delta (a retraction round).
 
@@ -381,9 +337,8 @@ class PlanVariant:
         two same-round deletions are still found.
         """
         batch = self.execute(store, deleted_by_predicate, stats)
-        if stats is not None:
-            stats.deletion_batches += 1
-            stats.deletion_rows += batch.size
+        stats.deletion_batches += 1
+        stats.deletion_rows += batch.size
         return batch
 
     @staticmethod
@@ -391,7 +346,7 @@ class PlanVariant:
         step: JoinStep,
         store: FactStore,
         batch: BindingBatch,
-        stats: Optional[JoinPlanStats],
+        stats: JoinPlanStats,
         delta_rows: Optional[Iterable[Row]],
     ) -> BindingBatch:
         """Extend the batch with one atom: delta scan or indexed hash join.
@@ -399,8 +354,7 @@ class PlanVariant:
         Everything here is in row space — delta rows, index buckets, and
         batch columns all hold term IDs of the executing store.
         """
-        if stats is not None:
-            stats.batches += 1
+        stats.batches += 1
         columns = batch.columns
         checks = step.checks
         outputs = step.outputs
@@ -426,9 +380,8 @@ class PlanVariant:
                     if any(fact_row[pos] != fact_row[first] for pos, first in checks):
                         continue
                     matched.append(fact_row)
-            if stats is not None:
-                stats.probes += max(1, batch.size)
-                stats.probe_hits += len(matched)
+            stats.probes += max(1, batch.size)
+            stats.probe_hits += len(matched)
             if not matched:
                 return BindingBatch.empty()
             keep = [row for row in range(batch.size) for _ in matched]
@@ -450,9 +403,8 @@ class PlanVariant:
                     fact_row[pos] != fact_row[first] for pos, first in checks
                 )
             ]
-            if stats is not None:
-                stats.probes += batch.size
-                stats.probe_hits += len(rows) * batch.size
+            stats.probes += batch.size
+            stats.probe_hits += len(rows) * batch.size
             if not rows:
                 return BindingBatch.empty()
             keep = [row for row in range(batch.size) for _ in rows]
@@ -470,8 +422,7 @@ class PlanVariant:
                 encoded = lookup(value)
                 if encoded is None:
                     # no stored row mentions this constant: nothing can match
-                    if stats is not None:
-                        stats.probes += size
+                    stats.probes += size
                     return BindingBatch.empty()
                 probe_columns.append((encoded,) * size)
             else:
@@ -507,9 +458,8 @@ class PlanVariant:
                     for slot, pos in enumerate(output_positions):
                         new_values[slot].append(fact_row[pos])
                     hits += 1
-        if stats is not None:
-            stats.probes += size
-            stats.probe_hits += hits
+        stats.probes += size
+        stats.probe_hits += hits
         if not keep:
             return BindingBatch.empty()
         result = {var: [column[row] for row in keep] for var, column in columns.items()}
@@ -576,7 +526,7 @@ class RulePlan:
         return variant
 
     def derivations(
-        self, store: FactStore, row: Row, stats: Optional[JoinPlanStats] = None
+        self, store: FactStore, row: Row, stats: JoinPlanStats
     ) -> List[Tuple[Tuple[Predicate, Row], ...]]:
         """The body facts of every rule instance whose head is ``row``.
 

@@ -54,6 +54,7 @@ from ..logic.atoms import Atom
 from ..logic.instance import Instance
 from ..logic.rules import Rule
 from ..logic.terms import Term
+from ..obs import Counters
 from .engine import (
     BudgetExceeded,
     DatalogEngine,
@@ -77,6 +78,16 @@ def _is_lazy_fact_source(instance: object) -> bool:
     of the persistence layer.
     """
     return hasattr(instance, "facts_for") and hasattr(instance, "all_facts")
+
+
+class _DemandStats(Counters):
+    """Demand-driven answers on one session (see ``demand_stats``).
+
+    ``predicates_touched`` keeps a maximum, not a sum, so these blocks are
+    never merged.
+    """
+
+    __slots__ = ("queries", "cutovers", "magic_facts", "rounds", "predicates_touched")
 
 
 class ReasoningSession:
@@ -114,13 +125,9 @@ class ReasoningSession:
         self._retracted_facts = 0
         self._updates = 0
         self._retractions = 0
-        self._join_stats: Dict[str, int] = {}
+        self._join_stats = JoinPlanStats()
+        self._demand_stats = _DemandStats()
         self._mutation_listeners: List[Callable[["ReasoningSession", str], None]] = []
-        self._demand_queries = 0
-        self._demand_magic_facts = 0
-        self._demand_rounds = 0
-        self._demand_predicates_touched = 0
-        self._demand_cutovers = 0
         if not defer_materialization:
             self._warm()
 
@@ -144,7 +151,7 @@ class ReasoningSession:
             # miscounts duplicated inputs and goes stale once retraction
             # shrinks the store
             self._added_facts += initial.store.base_count
-            JoinPlanStats.merge_snapshot(self._join_stats, initial.join_stats)
+            self._join_stats.merge(initial.join_stats)
         return store
 
     # ------------------------------------------------------------------
@@ -250,12 +257,12 @@ class ReasoningSession:
     def join_stats(self) -> dict:
         """Cumulative join-plan counters over the session's lifetime.
 
-        Sums the per-call snapshots of the initial materialization and every
-        delta propagation (``batches``, ``probes``, ``probe_hits``,
-        ``rows_emitted``, and the short-circuit counts), with ``hit_rate``
-        recomputed over the totals.
+        Merges the per-call snapshots of the initial materialization, every
+        delta propagation and every retraction (the
+        :class:`~repro.datalog.plan.JoinPlanStats` counters), with
+        ``hit_rate`` recomputed over the totals.
         """
-        return JoinPlanStats.with_hit_rate(dict(self._join_stats))
+        return self._join_stats.snapshot()
 
     def __len__(self) -> int:
         return len(self._warm())
@@ -284,7 +291,7 @@ class ReasoningSession:
         self._applications += result.rule_applications
         self._added_facts += result.added_facts
         self._updates += 1
-        JoinPlanStats.merge_snapshot(self._join_stats, result.join_stats)
+        self._join_stats.merge(result.join_stats)
         self._notify_mutation("add")
         return result
 
@@ -309,7 +316,7 @@ class ReasoningSession:
         self._applications += result.rule_applications
         self._retracted_facts += result.retracted_facts
         self._retractions += 1
-        JoinPlanStats.merge_snapshot(self._join_stats, result.join_stats)
+        self._join_stats.merge(result.join_stats)
         self._notify_mutation("retract")
         return result
 
@@ -373,13 +380,14 @@ class ReasoningSession:
                 max_work=self.base_fact_count if budgeted else None,
             )
         except BudgetExceeded:
-            self._demand_cutovers += 1
+            self._demand_stats.cutovers += 1
             return evaluate_query(query, self._warm())
-        self._demand_queries += 1
-        self._demand_magic_facts += result.report.magic_facts
-        self._demand_rounds += result.report.rounds
-        self._demand_predicates_touched = max(
-            self._demand_predicates_touched, result.report.predicates_touched
+        stats = self._demand_stats
+        stats.queries += 1
+        stats.magic_facts += result.report.magic_facts
+        stats.rounds += result.report.rounds
+        stats.predicates_touched = max(
+            stats.predicates_touched, result.report.predicates_touched
         )
         return result.answers
 
@@ -396,11 +404,7 @@ class ReasoningSession:
         counters.
         """
         return {
-            "queries": self._demand_queries,
-            "cutovers": self._demand_cutovers,
-            "magic_facts": self._demand_magic_facts,
-            "rounds": self._demand_rounds,
-            "predicates_touched": self._demand_predicates_touched,
+            **self._demand_stats.snapshot(),
             "predicates_total": len(self._engine.program.predicates()),
         }
 
@@ -458,13 +462,15 @@ class ReasoningSession:
 
         The store is copied, so later :meth:`add_facts` calls do not leak
         into the snapshot.  The bookkeeping fields report the session's
-        cumulative totals (rounds, derived facts, rule applications).
+        cumulative totals (rounds, derived facts, rule applications, join
+        counters).
         """
         return MaterializationResult(
             store=self._warm().copy(),
             rounds=self._rounds,
             derived_count=self._derived,
             rule_applications=self._applications,
+            join_stats=self.join_stats,
         )
 
     def __repr__(self) -> str:

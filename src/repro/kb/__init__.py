@@ -67,11 +67,7 @@ from .format import (
     FactSegments,
     KnowledgeBaseFormatError,
     knowledge_base_payload,
-    load_knowledge_base_payload,
-    load_knowledge_base_payload_with_segments,
     parse_kb_text,
-    read_kb_file,
-    read_kb_file_with_segments,
     upgrade_v1_payload,
     write_kb_file,
 )
@@ -86,11 +82,7 @@ __all__ = [
     "clear_compile_cache",
     "compile_cache_stats",
     "knowledge_base_payload",
-    "load_knowledge_base_payload",
-    "load_knowledge_base_payload_with_segments",
     "parse_kb_text",
-    "read_kb_file",
-    "read_kb_file_with_segments",
     "sigma_fingerprint",
     "upgrade_v1_payload",
     "write_kb_file",

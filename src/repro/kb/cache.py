@@ -44,6 +44,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..logic.normal_form import normalize_tgd
 from ..logic.tgd import TGD
+from ..obs import HitCounters
 from ..rewriting.base import RewritingResult, RewritingSettings
 from ..rewriting.rewriter import rewrite
 
@@ -52,9 +53,8 @@ COMPILE_CACHE_LIMIT = 128
 
 _CacheKey = Tuple[str, str, RewritingSettings]
 _cache: Dict[_CacheKey, RewritingResult] = {}
-_hits = 0
-_misses = 0
-#: guards ``_cache``/``_hits``/``_misses``; held only for dict/counter ops,
+_counters = HitCounters()
+#: guards ``_cache`` and ``_counters``; held only for dict/counter ops,
 #: never across a rewrite (see the module docstring's fork notes)
 _cache_lock = threading.RLock()
 
@@ -85,16 +85,15 @@ def cached_rewrite(
     lock is deliberately not held during saturation) but converge on one
     equivalent entry.
     """
-    global _hits, _misses
     effective = settings if settings is not None else RewritingSettings()
     fingerprint = sigma_fingerprint(tgds)
     key = (fingerprint, algorithm.lower(), effective)
     with _cache_lock:
         cached = _cache.get(key)
         if cached is not None:
-            _hits += 1
+            _counters.hits += 1
             return cached, fingerprint
-        _misses += 1
+        _counters.misses += 1
     result = rewrite(tgds, algorithm=algorithm, settings=settings)
     if result.completed:
         with _cache_lock:
@@ -118,15 +117,9 @@ def compile_cache_stats() -> Dict[str, object]:
     from ..datalog.engine import _ENGINE_CACHE
 
     with _cache_lock:
-        hits, misses, entries = _hits, _misses, len(_cache)
-    total = hits + misses
-    return {
-        "entries": entries,
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": round(hits / total, 4) if total else 0.0,
-        "engine_cache_entries": len(_ENGINE_CACHE),
-    }
+        stats = {"entries": len(_cache), **_counters.snapshot()}
+    stats["engine_cache_entries"] = len(_ENGINE_CACHE)
+    return stats
 
 
 def clear_compile_cache() -> None:
@@ -134,9 +127,7 @@ def clear_compile_cache() -> None:
     the counters (tests, benchmarks)."""
     from ..datalog.engine import clear_engine_cache
 
-    global _hits, _misses
     with _cache_lock:
         _cache.clear()
-        _hits = 0
-        _misses = 0
+        _counters.reset()
     clear_engine_cache()

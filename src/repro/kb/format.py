@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,7 +39,7 @@ KB_FORMAT_VERSION = "repro-kb/v2"
 #: the previous format, still accepted on load via :func:`upgrade_v1_payload`
 KB_FORMAT_V1 = "repro-kb/v1"
 
-#: every format :func:`load_knowledge_base_payload` accepts
+#: every format :func:`parse_kb_text` accepts
 SUPPORTED_KB_FORMATS = (KB_FORMAT_V1, KB_FORMAT_VERSION)
 
 
@@ -210,27 +212,42 @@ def _rule_from_json(data: object) -> Rule:
     )
 
 
+def _is_json_type(value: object, kind: str) -> bool:
+    """Whether a decoded JSON value fits a field annotated ``kind``.
+
+    ``bool`` subclasses ``int`` in Python, so a JSON ``true`` is no count;
+    and ``json`` reads ``NaN`` and ``Infinity``, which are no real numbers.
+    """
+    if kind == "bool":
+        return isinstance(value, bool)
+    if kind == "str":
+        return isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    if kind == "float" and isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int)
+
+
+def _field(payload: Dict[str, object], name: str, kind: str, default: object) -> object:
+    """A top-level payload field, type-checked; ``default`` when absent."""
+    if name not in payload:
+        return default
+    value = payload[name]
+    if not _is_json_type(value, kind):
+        raise KnowledgeBaseFormatError(f"{name} must be of type {kind}, got {value!r}")
+    return value
+
+
 def _statistics_from_json(data: object) -> SaturationStatistics:
+    """The statistics block; keys that are not fields (such as the retired
+    ``inferences``) are ignored."""
     if not isinstance(data, dict):
         raise KnowledgeBaseFormatError(f"malformed statistics block: {data!r}")
     statistics = SaturationStatistics()
-    for field_name in (
-        "input_size",
-        "derived",
-        "discarded_tautology",
-        "discarded_forward",
-        "discarded_duplicate",
-        "removed_backward",
-        "processed",
-        "retained",
-        "forward_checks",
-        "forward_candidates",
-        "backward_candidates",
-        "elapsed_seconds",
-        "timed_out",
-    ):
-        if field_name in data:
-            setattr(statistics, field_name, data[field_name])
+    for spec in fields(SaturationStatistics):
+        value = _field(data, spec.name, spec.type, getattr(statistics, spec.name))
+        setattr(statistics, spec.name, value)
     return statistics
 
 
@@ -403,26 +420,22 @@ def upgrade_v1_payload(payload: Dict[str, object]) -> Dict[str, object]:
     return upgraded
 
 
-def load_knowledge_base_payload(
-    payload: object,
-) -> Tuple[Tuple[TGD, ...], RewritingResult]:
-    """Decode a KB payload (v1 or v2) into ``(tgds, rewriting)``.
+def parse_kb_text(
+    text: str,
+) -> Tuple[Tuple[TGD, ...], RewritingResult, Optional[FactSegments]]:
+    """Decode the text of a KB file (v1 or v2) into ``(tgds, rewriting, segments)``.
 
     Both integrity fields are mandatory and re-verified: the content digest
     covers Σ *and* the Datalog rewriting (the part queries actually use), and
     the Σ fingerprint is recomputed from the decoded TGDs.  Any mismatch
-    means the file was edited or corrupted and is rejected.  Fact segments
-    are ignored here; use :func:`load_knowledge_base_payload_with_segments`
-    to get them too.
+    means the file was edited or corrupted and is rejected, as is a field
+    of the wrong JSON type.  ``segments`` is the lazy
+    :class:`FactSegments` view, or ``None`` when the file stores no facts.
     """
-    tgds, rewriting, _ = load_knowledge_base_payload_with_segments(payload)
-    return tgds, rewriting
-
-
-def load_knowledge_base_payload_with_segments(
-    payload: object,
-) -> Tuple[Tuple[TGD, ...], RewritingResult, Optional[FactSegments]]:
-    """Decode a KB payload including its lazy fact segments (if present)."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise KnowledgeBaseFormatError(f"KB file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise KnowledgeBaseFormatError("KB file does not contain a JSON object")
     version = payload.get("format")
@@ -454,37 +467,12 @@ def load_knowledge_base_payload_with_segments(
         _rule_from_json(rule) for rule in payload.get("datalog_rules", ())
     )
     rewriting = RewritingResult(
-        algorithm=payload.get("algorithm", "?"),
+        algorithm=_field(payload, "algorithm", "str", "?"),
         datalog_rules=rules,
         statistics=_statistics_from_json(payload.get("statistics", {})),
-        worked_off_size=payload.get("worked_off_size", len(rules)),
-        completed=payload.get("completed", True),
+        worked_off_size=_field(payload, "worked_off_size", "int", len(rules)),
+        completed=_field(payload, "completed", "bool", True),
     )
     segments_json = payload.get("fact_segments")
     segments = None if segments_json is None else FactSegments(segments_json)
     return tgds, rewriting, segments
-
-
-def parse_kb_text(text: str) -> Tuple[Tuple[TGD, ...], RewritingResult]:
-    """Decode the text of a KB file (callers that already read it from disk)."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise KnowledgeBaseFormatError(f"KB file is not valid JSON: {exc}") from exc
-    return load_knowledge_base_payload(payload)
-
-
-def read_kb_file(path: "str | Path") -> Tuple[Tuple[TGD, ...], RewritingResult]:
-    """Read and decode a KB file written by :func:`write_kb_file`."""
-    return parse_kb_text(Path(path).read_text(encoding="utf-8"))
-
-
-def read_kb_file_with_segments(
-    path: "str | Path",
-) -> Tuple[Tuple[TGD, ...], RewritingResult, Optional[FactSegments]]:
-    """Like :func:`read_kb_file`, also returning the lazy fact segments."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise KnowledgeBaseFormatError(f"KB file is not valid JSON: {exc}") from exc
-    return load_knowledge_base_payload_with_segments(payload)

@@ -11,9 +11,11 @@ object.  Consequences exploited throughout the saturation hot path:
 * derived per-value caches (variable sets, groundness flags) are shared by
   every occurrence of the value.
 
-This module holds the per-kind hit/miss counters that the benchmark harness
-reports as the *interning hit rate*, plus the cache-clearing entry point used
-by long-running processes and tests.
+This module holds one :class:`~repro.obs.HitCounters` block per interned
+kind, which the constructors bump on every lookup and which the benchmark
+reports as the *interning hit rate* (:func:`intern_stats` merges the kinds
+into ``overall``), plus the cache-clearing entry points used by
+long-running processes and tests.
 """
 
 from __future__ import annotations
@@ -21,39 +23,10 @@ from __future__ import annotations
 from itertools import islice
 from typing import Callable, Dict, List
 
-
-class InternCounter:
-    """Hit/miss counter for one interned kind (e.g. ``atom``)."""
-
-    __slots__ = ("kind", "hits", "misses")
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.total
-        return self.hits / total if total else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+from ..obs import HitCounters
 
 
-_counters: Dict[str, InternCounter] = {}
+_counters: Dict[str, HitCounters] = {}
 _cache_clearers: List[Callable[[], None]] = []
 
 #: Safety valve for long-lived processes: when one intern table reaches this
@@ -77,12 +50,11 @@ def maybe_evict(cache: Dict) -> None:
             del cache[key]
 
 
-def counter(kind: str) -> InternCounter:
+def counter(kind: str) -> HitCounters:
     """Return (creating on demand) the counter for one interned kind."""
     existing = _counters.get(kind)
     if existing is None:
-        existing = InternCounter(kind)
-        _counters[kind] = existing
+        existing = _counters[kind] = HitCounters()
     return existing
 
 
@@ -93,14 +65,11 @@ def register_cache_clearer(clearer: Callable[[], None]) -> None:
 
 def intern_stats() -> Dict[str, Dict[str, object]]:
     """Per-kind hit/miss statistics plus an aggregate ``overall`` entry."""
-    stats = {kind: ctr.as_dict() for kind, ctr in sorted(_counters.items())}
-    hits = sum(ctr.hits for ctr in _counters.values())
-    total = sum(ctr.total for ctr in _counters.values())
-    stats["overall"] = {
-        "hits": hits,
-        "misses": total - hits,
-        "hit_rate": round(hits / total, 4) if total else 0.0,
-    }
+    stats = {kind: ctr.snapshot() for kind, ctr in sorted(_counters.items())}
+    overall = HitCounters()
+    for ctr in _counters.values():
+        overall.merge(ctr)
+    stats["overall"] = overall.snapshot()
     return stats
 
 

@@ -14,12 +14,13 @@ into the same saturation engine (Algorithm 1).  An inference rule knows
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import FrozenSet, Generic, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from ..logic.atoms import Atom, Predicate
 from ..logic.rules import Rule
 from ..logic.tgd import TGD
+from ..obs import rate
 
 Clause = Union[TGD, Rule]
 ClauseT = TypeVar("ClauseT", TGD, Rule)
@@ -85,30 +86,12 @@ class SaturationStatistics:
     elapsed_seconds: float = 0.0
     timed_out: bool = False
 
-    @property
-    def subsumption_hit_rate(self) -> float:
-        """Fraction of forward-subsumption queries that discarded the clause."""
-        if not self.forward_checks:
-            return 0.0
-        return self.discarded_forward / self.forward_checks
-
     def as_dict(self) -> dict:
-        return {
-            "input_size": self.input_size,
-            "derived": self.derived,
-            "discarded_tautology": self.discarded_tautology,
-            "discarded_forward": self.discarded_forward,
-            "discarded_duplicate": self.discarded_duplicate,
-            "removed_backward": self.removed_backward,
-            "processed": self.processed,
-            "retained": self.retained,
-            "forward_checks": self.forward_checks,
-            "forward_candidates": self.forward_candidates,
-            "backward_candidates": self.backward_candidates,
-            "subsumption_hit_rate": round(self.subsumption_hit_rate, 4),
-            "elapsed_seconds": self.elapsed_seconds,
-            "timed_out": self.timed_out,
-        }
+        """The fields, plus ``subsumption_hit_rate``: the fraction of
+        forward-subsumption queries that discarded the clause."""
+        values = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        values["subsumption_hit_rate"] = rate(self.discarded_forward, self.forward_checks)
+        return values
 
 
 class InferenceRule(abc.ABC, Generic[ClauseT]):

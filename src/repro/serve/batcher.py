@@ -21,8 +21,9 @@ high-water mark, and the server turns that into a structured
 unbounded backlog grow latency without limit.  Requests already admitted
 are always served (or time out against their own deadlines).
 
-:class:`BatcherStats` records the batch-size histogram and the dedup
-savings that the server's ``stats`` op reports.
+:class:`BatcherStats` (a block of the shared :class:`repro.obs.Counters`)
+records the batch-size histogram and the dedup savings that the server's
+``stats`` op reports, per KB and merged.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
+
+from ..obs import Counters
 
 #: hard cap on how many query requests one dispatched batch may carry;
 #: bounds per-batch latency under a flood without starving the queue
@@ -136,24 +139,32 @@ class BatchQueue:
         return batch
 
 
-class BatcherStats:
-    """Counters describing how well batching and dedup amortized the work."""
+class BatcherStats(Counters):
+    """Counters describing how well batching and dedup amortized the work.
 
-    def __init__(self) -> None:
-        self.batches = 0
-        self.requests = 0
-        self.cache_hits = 0
-        self.evaluated = 0
-        self.dedup_saved = 0
-        self.mutations = 0
-        #: requests refused at admission because the queue was full
-        self.sheds = 0
-        #: requests whose deadline expired before their answer was delivered
-        self.timeouts = 0
-        #: batch size (number of grouped query requests) -> occurrences
-        self.batch_size_histogram: Dict[int, int] = {}
-        #: requested strategy -> query requests asking for it
-        self.requests_by_strategy: Dict[str, int] = {}
+    ``sheds`` counts requests refused at admission because the queue was
+    full, and ``timeouts`` requests whose deadline expired before their
+    answer was delivered.  Two tallies count per key: the batch-size
+    histogram (grouped query requests per batch -> batches) and
+    ``requests_by_strategy`` (requested strategy -> query requests).
+    """
+
+    __slots__ = (
+        "batches",
+        "requests",
+        "cache_hits",
+        "evaluated",
+        "dedup_saved",
+        "mutations",
+        "sheds",
+        "timeouts",
+        "requests_by_strategy",
+        "batch_size_histogram",
+    )
+    TALLIES = ("requests_by_strategy", "batch_size_histogram")
+    DERIVED = {
+        "max_batch_size": lambda stats: max(stats.batch_size_histogram, default=0)
+    }
 
     def record_batch(self, size: int, cache_hits: int, evaluated: int) -> None:
         """One dispatched query batch: ``size`` requests grouped, of which
@@ -165,37 +176,3 @@ class BatcherStats:
         self.evaluated += evaluated
         self.dedup_saved += (size - cache_hits) - evaluated
         self.batch_size_histogram[size] = self.batch_size_histogram.get(size, 0) + 1
-
-    def record_strategy(self, strategy: str) -> None:
-        """Count one query request by the strategy it asked for."""
-        self.requests_by_strategy[strategy] = (
-            self.requests_by_strategy.get(strategy, 0) + 1
-        )
-
-    def record_mutation(self) -> None:
-        self.mutations += 1
-
-    def record_shed(self) -> None:
-        self.sheds += 1
-
-    def record_timeout(self) -> None:
-        self.timeouts += 1
-
-    def snapshot(self) -> Dict[str, object]:
-        """A JSON-ready view for the stats endpoint."""
-        return {
-            "batches": self.batches,
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "evaluated": self.evaluated,
-            "dedup_saved": self.dedup_saved,
-            "mutations": self.mutations,
-            "sheds": self.sheds,
-            "timeouts": self.timeouts,
-            "requests_by_strategy": dict(sorted(self.requests_by_strategy.items())),
-            "max_batch_size": max(self.batch_size_histogram, default=0),
-            "batch_size_histogram": {
-                str(size): count
-                for size, count in sorted(self.batch_size_histogram.items())
-            },
-        }

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..datalog.query import ConjunctiveQuery
 from ..logic.terms import Variable
+from ..obs import HitCounters
 
 #: default bound on cached answer sets; the oldest (least recently used)
 #: entries fall out first
@@ -67,6 +68,13 @@ def query_fingerprint(query: ConjunctiveQuery) -> str:
     return f"ans({head})<-{';'.join(parts)}"
 
 
+class _CacheCounters(HitCounters):
+    """Lookups, plus entries pushed out, generations bumped and stale
+    entries dropped on lookup."""
+
+    __slots__ = ("evictions", "invalidations", "stale_drops")
+
+
 class AnswerCache:
     """LRU answer cache with per-KB generation invalidation."""
 
@@ -79,11 +87,7 @@ class AnswerCache:
         self._entries: "OrderedDict[Tuple[str, str], Tuple[int, List[List[str]]]]"
         self._entries = OrderedDict()
         self._generations: Dict[str, int] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._invalidations = 0
-        self._stale_drops = 0
+        self._counters = _CacheCounters()
 
     # ------------------------------------------------------------------
     # generations
@@ -103,7 +107,7 @@ class AnswerCache:
         with self._lock:
             generation = self._generations.get(kb_key, 0) + 1
             self._generations[kb_key] = generation
-            self._invalidations += 1
+            self._counters.invalidations += 1
             return generation
 
     def watch_session(self, kb_key: str, session) -> None:
@@ -126,16 +130,16 @@ class AnswerCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self._misses += 1
+                self._counters.misses += 1
                 return None
             generation, answers = entry
             if generation != self._generations.get(kb_key, 0):
                 del self._entries[key]
-                self._stale_drops += 1
-                self._misses += 1
+                self._counters.stale_drops += 1
+                self._counters.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self._hits += 1
+            self._counters.hits += 1
             return answers
 
     def put(
@@ -159,7 +163,7 @@ class AnswerCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
-                self._evictions += 1
+                self._counters.evictions += 1
             return True
 
     # ------------------------------------------------------------------
@@ -172,21 +176,14 @@ class AnswerCache:
     def stats(self) -> Dict[str, object]:
         """Counters for the server's stats endpoint."""
         with self._lock:
-            total = self._hits + self._misses
             return {
                 "capacity": self._capacity,
                 "entries": len(self._entries),
-                "hits": self._hits,
-                "misses": self._misses,
-                "hit_rate": round(self._hits / total, 4) if total else 0.0,
-                "evictions": self._evictions,
-                "invalidations": self._invalidations,
-                "stale_drops": self._stale_drops,
+                **self._counters.snapshot(),
             }
 
     def clear(self) -> None:
         """Drop all entries and zero the counters (generations survive)."""
         with self._lock:
             self._entries.clear()
-            self._hits = self._misses = 0
-            self._evictions = self._invalidations = self._stale_drops = 0
+            self._counters.reset()

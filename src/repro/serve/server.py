@@ -43,6 +43,7 @@ from ..logic.atoms import Atom
 from ..logic.instance import Instance
 from ..logic.printer import format_fact
 from ..logic.parser import parse_facts
+from ..obs import Counters
 from .batcher import (
     DEFAULT_MAX_BATCH_SIZE,
     DEFAULT_MAX_QUEUE_DEPTH,
@@ -111,8 +112,22 @@ class ServedKB:
     initial_facts: "Instance | Sequence[Atom]" = ()
 
 
+class _KBCounters(Counters):
+    """Per-share-key counts beside the batcher's: checkpoints taken, and
+    evaluations run per effective strategy (as the workers report it)."""
+
+    __slots__ = ("checkpoints", "evaluated_by_strategy")
+    TALLIES = ("evaluated_by_strategy",)
+
+
+class _ProcessCounters(Counters):
+    """The recovery counts a worker process reports about its sessions."""
+
+    __slots__ = ("session_rebuilds", "quarantined_sessions")
+
+
 class _KBState:
-    """Per-share-key serving state: queue, op log, checkpoint, batcher stats."""
+    """Per-share-key serving state: queue, op log, checkpoint, counters."""
 
     def __init__(
         self,
@@ -142,11 +157,8 @@ class _KBState:
         self.checkpoint_base = 0
         #: the checkpoint's fact snapshot (shipped to workers per task)
         self.checkpoint_facts = facts_text
-        #: checkpoints taken over this state's lifetime
-        self.checkpoints = 0
         self.stats = BatcherStats()
-        #: effective strategy (reported by the workers) -> evaluations run
-        self.evaluated_by_strategy: Dict[str, int] = {}
+        self.counters = _KBCounters()
         self.inflight: Set[asyncio.Task] = set()
         self.drain_task: Optional[asyncio.Task] = None
 
@@ -185,7 +197,7 @@ class _KBState:
         self.ops = []
         self.epoch += 1
         self.checkpoint_facts = "\n".join(sorted(self.base_lines))
-        self.checkpoints += 1
+        self.counters.checkpoints += 1
 
 
 class ReasoningServer:
@@ -380,7 +392,7 @@ class ReasoningServer:
         except QueueOverloadedError as exc:
             # shed at the door: admitting past the high-water mark only
             # grows the backlog's latency, it never grows throughput
-            state.stats.record_shed()
+            state.stats.sheds += 1
             return error_response(request_id, str(exc), kind="overloaded")
         except RuntimeError as exc:
             return error_response(request_id, str(exc))
@@ -395,7 +407,7 @@ class ReasoningServer:
             # skip this request: a still-queued mutation is never applied,
             # a still-queued query never dispatched, and an in-flight batch
             # simply drops this requester when it lands
-            state.stats.record_timeout()
+            state.stats.timeouts += 1
             return error_response(
                 request_id,
                 f"deadline of {deadline_ms}ms expired before the "
@@ -451,7 +463,7 @@ class ReasoningServer:
             return
         state.ops.append((pending.kind, pending.text))
         self.cache.invalidate(state.key)
-        state.stats.record_mutation()
+        state.stats.mutations += 1
         try:
             payload = await self._tier.apply_mutation(
                 state.key, list(state.ops), state.checkpoint_payload()
@@ -485,8 +497,9 @@ class ReasoningServer:
         generation = state.generation
         cache_hits = 0
         misses: Dict[str, List[PendingRequest]] = {}
+        requested = state.stats.requests_by_strategy
         for pending in batch:
-            state.stats.record_strategy(pending.strategy)
+            requested[pending.strategy] = requested.get(pending.strategy, 0) + 1
             answers = self.cache.get(state.key, pending.fingerprint)
             if answers is not None:
                 cache_hits += 1
@@ -542,10 +555,9 @@ class ReasoningServer:
                     self._resolve(pending, exception=exc)
             return
         self._note_worker(payload)
+        evaluated = state.counters.evaluated_by_strategy
         for effective in payload.get("strategies", ()):
-            state.evaluated_by_strategy[effective] = (
-                state.evaluated_by_strategy.get(effective, 0) + 1
-            )
+            evaluated[effective] = evaluated.get(effective, 0) + 1
         for fingerprint, answers in zip(fingerprints, payload["answers"]):
             self.cache.put(state.key, fingerprint, generation, answers)
             for pending in misses[fingerprint]:
@@ -592,8 +604,6 @@ class ReasoningServer:
     def stats(self) -> Dict[str, object]:
         """The JSON stats block (``op: stats``)."""
         kbs: Dict[str, object] = {}
-        merged = BatcherStats()
-        merged_evaluated_by_strategy: Dict[str, int] = {}
         for name, key in sorted(self._names.items()):
             state = self._states[key]
             kbs[name] = {
@@ -605,62 +615,37 @@ class ReasoningServer:
                 "queue_depth": len(state.queue),
                 "queue_high_water": state.queue.high_water,
                 "op_log_length": len(state.ops),
-                "checkpoints": state.checkpoints,
                 "checkpoint_epoch": state.epoch,
                 "batcher": state.stats.snapshot(),
-                "evaluated_by_strategy": dict(
-                    sorted(state.evaluated_by_strategy.items())
-                ),
+                **state.counters.snapshot(),
             }
+        batcher = BatcherStats()
+        totals = _KBCounters()
         for state in self._states.values():
-            merged.batches += state.stats.batches
-            merged.requests += state.stats.requests
-            merged.cache_hits += state.stats.cache_hits
-            merged.evaluated += state.stats.evaluated
-            merged.dedup_saved += state.stats.dedup_saved
-            merged.mutations += state.stats.mutations
-            merged.sheds += state.stats.sheds
-            merged.timeouts += state.stats.timeouts
-            for size, count in state.stats.batch_size_histogram.items():
-                merged.batch_size_histogram[size] = (
-                    merged.batch_size_histogram.get(size, 0) + count
-                )
-            for strategy, count in state.stats.requests_by_strategy.items():
-                merged.requests_by_strategy[strategy] = (
-                    merged.requests_by_strategy.get(strategy, 0) + count
-                )
-            for strategy, count in state.evaluated_by_strategy.items():
-                merged_evaluated_by_strategy[strategy] = (
-                    merged_evaluated_by_strategy.get(strategy, 0) + count
-                )
-        batching = merged.snapshot()
-        batching["evaluated_by_strategy"] = dict(
-            sorted(merged_evaluated_by_strategy.items())
-        )
+            batcher.merge(state.stats)
+            totals.merge(state.counters)
+        batching = batcher.snapshot()
+        batching["evaluated_by_strategy"] = totals.snapshot()["evaluated_by_strategy"]
         workers = dict(self._tier.describe()) if self._tier is not None else {}
         workers["per_process_compile_cache"] = {
-            pid: counters["compile_cache"]
-            for pid, counters in self._worker_processes.items()
+            pid: report["compile_cache"]
+            for pid, report in self._worker_processes.items()
         }
         # the front-end process compiles too (KB loading); report it under
         # its own pid so inline mode still shows a per-process view
         workers.setdefault("frontend_compile_cache", compile_cache_stats())
-        processes = self._worker_processes.values()
+        processes = _ProcessCounters()
+        for report in self._worker_processes.values():
+            processes.merge(report)
         resilience = {
             "worker_restarts": workers.get("restarts", 0),
             "task_retries": workers.get("retries", 0),
             "recovery_wall_seconds": workers.get("recovery_wall_seconds", 0.0),
-            "worker_rebuilds": sum(
-                counters["session_rebuilds"] for counters in processes
-            ),
-            "quarantined_sessions": sum(
-                counters["quarantined_sessions"] for counters in processes
-            ),
-            "timeouts": merged.timeouts,
-            "sheds": merged.sheds,
-            "checkpoints": sum(
-                state.checkpoints for state in self._states.values()
-            ),
+            "worker_rebuilds": processes.session_rebuilds,
+            "quarantined_sessions": processes.quarantined_sessions,
+            "timeouts": batcher.timeouts,
+            "sheds": batcher.sheds,
+            "checkpoints": totals.checkpoints,
         }
         payload = {
             "protocol": PROTOCOL_VERSION,

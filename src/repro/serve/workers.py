@@ -193,7 +193,7 @@ class WorkerState:
         from ..kb.format import parse_kb_text
 
         spec = self._specs[name]
-        tgds, rewriting = parse_kb_text(spec["kb_json"])
+        tgds, rewriting, _ = parse_kb_text(spec["kb_json"])
         kb = KnowledgeBase(tgds=tgds, rewriting=rewriting)
         if checkpoint is not None:
             facts_text = str(checkpoint["facts"])

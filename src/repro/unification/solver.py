@@ -47,9 +47,10 @@ re-filtered, and an emptied list fails the branch immediately.
 Reading the solver stats block
 ------------------------------
 
-Every solve accumulates into a module-global :class:`MatchSolverStats`
-(snapshot via :func:`match_solver_stats`, zeroed via
-:func:`reset_match_solver_stats`).  The repository benchmark
+Every solve accumulates into a :class:`MatchSolverStats` block of the shared
+counters (:class:`repro.obs.Counters`): the module-global one unless the
+caller passes its own.  :func:`match_solver_stats` snapshots the global
+block and :func:`reset_match_solver_stats` zeroes it.  The repository benchmark
 (``perfbench/``) diffs two snapshots around each rewriting pass and reports
 ``solves`` and ``nodes_expanded`` as its ``unification.solver.*`` per-layer
 metrics:
@@ -87,6 +88,7 @@ from typing import (
 from ..logic.atoms import Atom, Predicate
 from ..logic.substitution import Substitution
 from ..logic.terms import FunctionTerm, Term, Variable
+from ..obs import Counters
 
 #: a candidate universe: atoms pre-bucketed by predicate, or any atom
 #: collection (bucketed by the solver on entry)
@@ -96,7 +98,7 @@ Universe = Union[Mapping[Predicate, Sequence[Atom]], Iterable[Atom]]
 Pairing = Tuple[Atom, Atom]
 
 
-class MatchSolverStats:
+class MatchSolverStats(Counters):
     """Cumulative counters for the solver (see the module docstring)."""
 
     __slots__ = (
@@ -107,25 +109,6 @@ class MatchSolverStats:
         "empty_domain_exits",
     )
 
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.solves = 0
-        self.solutions = 0
-        self.nodes_expanded = 0
-        self.domains_pruned = 0
-        self.empty_domain_exits = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "solves": self.solves,
-            "solutions": self.solutions,
-            "nodes_expanded": self.nodes_expanded,
-            "domains_pruned": self.domains_pruned,
-            "empty_domain_exits": self.empty_domain_exits,
-        }
-
 
 #: module-global accumulator; callers snapshot it around the work they measure
 GLOBAL_MATCH_SOLVER_STATS = MatchSolverStats()
@@ -133,7 +116,7 @@ GLOBAL_MATCH_SOLVER_STATS = MatchSolverStats()
 
 def match_solver_stats() -> Dict[str, int]:
     """A snapshot of the global solver counters."""
-    return GLOBAL_MATCH_SOLVER_STATS.as_dict()
+    return GLOBAL_MATCH_SOLVER_STATS.snapshot()
 
 
 def reset_match_solver_stats() -> None:

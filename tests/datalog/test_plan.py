@@ -9,10 +9,12 @@ from repro.datalog.plan import (
     compiled_body_plan,
 )
 from repro.datalog.program import DatalogProgram
+from repro.datalog.session import ReasoningSession
 from repro.logic.atoms import Predicate
 from repro.logic.parser import parse_program
 from repro.logic.rules import Rule
 from repro.logic.terms import Constant, Variable
+from repro.obs import rate
 
 Edge = Predicate("Edge", 2)
 Reach = Predicate("Reach", 2)
@@ -242,7 +244,7 @@ class TestEngineCache:
         datalog = DatalogProgram(program.tgds)
         assert compiled_engine(datalog) is compiled_engine(DatalogProgram(program.tgds))
 
-    def test_engine_join_stats_accumulate(self):
+    def test_session_join_stats_sum_the_calls(self):
         program = parse_program(
             """
             Edge(?x, ?y) -> Reach(?x, ?y).
@@ -252,8 +254,17 @@ class TestEngineCache:
         )
         result = materialize(program.tgds, program.instance)
         assert result.join_stats["rows_emitted"] >= result.derived_count
+        session = ReasoningSession(DatalogProgram(program.tgds), program.instance)
+        before = session.join_stats
+        calls = [session.add_facts([Edge(c, a)]), session.retract_facts([Edge(a, b)])]
+        after = session.join_stats
+        for name in JoinPlanStats.names:
+            assert after[name] == before[name] + sum(
+                call.join_stats[name] for call in calls
+            ), name
+        assert after["deletion_batches"] > 0
+        assert after["hit_rate"] == rate(after["probe_hits"], after["probes"])
         engine = compiled_engine(DatalogProgram(program.tgds))
-        assert engine.join_stats.rows_emitted >= result.join_stats["rows_emitted"]
         assert engine.compiled_plan_count() >= 1
         assert engine.plan_shapes()
 

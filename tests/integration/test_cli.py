@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -394,3 +396,79 @@ class TestStatsCommand:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "facts in file:     4" in captured.out
+
+
+#: dependency files that every subcommand must refuse with a structured error
+BAD_DEPENDENCIES = {
+    "syntax-error": "A(?x -> B(?x).",
+    "unguarded-tgd": "R(?x, ?y), E(?y, ?z) -> R(?x, ?z).",
+}
+
+
+def _command_line(command, dependencies, facts, tmp_path):
+    """A full command line for ``command`` over the given dependency file."""
+    queries = tmp_path / "queries.txt"
+    queries.write_text("Equipment(?x)\n", encoding="utf-8")
+    return {
+        "rewrite": ["rewrite", dependencies],
+        "compile": ["compile", dependencies, "-o", str(tmp_path / "out.kb.json")],
+        "materialize": ["materialize", dependencies, facts],
+        "entails": ["entails", dependencies, facts, "Equipment(sw1)"],
+        "stats": ["stats", dependencies],
+        "serve-batch": ["serve-batch", dependencies, facts, str(queries)],
+        "serve": ["serve", dependencies, "--port", "0"],
+    }[command]
+
+
+class TestInputErrors:
+    """An input error prints ``error: <message>`` and exits 2, never a
+    traceback; exit 1 stays ``entails``' "not entailed"."""
+
+    @pytest.mark.parametrize(
+        "command, problem",
+        [
+            (command, problem)
+            for command in ("rewrite", "compile", "materialize", "entails")
+            for problem in ("syntax-error", "unguarded-tgd", "missing-file", "negative-timeout")
+        ]
+        # ``serve-batch`` and ``serve`` already refused a missing file; ``stats``
+        # takes no --timeout and never checks guardedness
+        + [
+            (command, problem)
+            for command in ("serve-batch", "serve")
+            for problem in ("syntax-error", "unguarded-tgd", "negative-timeout")
+        ]
+        + [("stats", "syntax-error"), ("stats", "missing-file")],
+    )
+    def test_bad_input_is_an_error_line_with_exit_2(
+        self, command, problem, dependency_file, facts_file, tmp_path, capsys
+    ):
+        dependencies = str(dependency_file)
+        extra = []
+        if problem in BAD_DEPENDENCIES:
+            dependencies = str(tmp_path / "bad.gtgd")
+            Path(dependencies).write_text(BAD_DEPENDENCIES[problem], encoding="utf-8")
+        elif problem == "missing-file":
+            dependencies = str(tmp_path / "missing.gtgd")
+        else:
+            extra = ["--timeout", "-1"]
+        argv = _command_line(command, dependencies, str(facts_file), tmp_path) + extra
+        exit_code = main(argv)
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_serve_batch_malformed_query_line(
+        self, dependency_file, facts_file, tmp_path, capsys
+    ):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("Equipment(?x)\nEquipment(?x\n", encoding="utf-8")
+        exit_code = main(
+            ["serve-batch", str(dependency_file), str(facts_file), str(queries)]
+        )
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        # the queries are parsed before the session is opened
+        assert err.startswith("error: ")
+        assert "# session" not in err

@@ -12,7 +12,6 @@ from repro.kb import (
     cached_rewrite,
     clear_compile_cache,
     compile_cache_stats,
-    read_kb_file,
     sigma_fingerprint,
 )
 from repro.rewriting import RewritingSettings, UnguardedTGDError
@@ -320,7 +319,7 @@ class TestFormatErrors:
         path = tmp_path / "kb.json"
         path.write_text("not json", encoding="utf-8")
         with pytest.raises(KnowledgeBaseFormatError, match="not valid JSON"):
-            read_kb_file(path)
+            KnowledgeBase.load(path)
 
     def test_tampered_tgds_rejected(self, tmp_path):
         program = parse_program(CIM)
@@ -340,6 +339,34 @@ class TestFormatErrors:
         del payload["datalog_rules"][0]
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(KnowledgeBaseFormatError, match="digest"):
+            KnowledgeBase.load(path)
+
+    @pytest.mark.parametrize(
+        "block, field, value",
+        [
+            # the digest covers only the TGDs and rules, so nothing else
+            # catches a field of the wrong type
+            pytest.param(None, "completed", "false", id="completed-string"),
+            pytest.param(None, "completed", 0, id="completed-int"),
+            pytest.param(None, "worked_off_size", "3", id="worked-off-string"),
+            pytest.param(None, "worked_off_size", True, id="worked-off-bool"),
+            pytest.param(None, "algorithm", 7, id="algorithm-int"),
+            pytest.param("statistics", "elapsed_seconds", "fast", id="elapsed-string"),
+            pytest.param("statistics", "elapsed_seconds", float("nan"), id="elapsed-nan"),
+            pytest.param("statistics", "derived", 1.5, id="count-float"),
+            pytest.param("statistics", "processed", True, id="count-bool"),
+            pytest.param("statistics", "timed_out", "no", id="timed-out-string"),
+            pytest.param("statistics", "timed_out", 0, id="timed-out-int"),
+        ],
+    )
+    def test_mistyped_field_rejected(self, tmp_path, block, field, value):
+        program = parse_program(CIM)
+        kb = KnowledgeBase.compile(program.tgds)
+        path = kb.save(tmp_path / "kb.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        (payload if block is None else payload[block])[field] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(KnowledgeBaseFormatError, match=field):
             KnowledgeBase.load(path)
 
     def test_missing_integrity_fields_rejected(self, tmp_path):

@@ -592,6 +592,65 @@ class TestQueryStrategies:
         assert effective.get("materialized", 0) == 2
         assert "auto" not in effective
 
+    def test_batching_block_sums_the_per_kb_blocks(self, kb):
+        """Two share keys: the merged blocks are the key-wise sums."""
+
+        async def scenario():
+            server = ReasoningServer(
+                [
+                    ServedKB("left", kb, parse_facts("\n".join(FACT_LINES))),
+                    ServedKB("right", kb, parse_facts("\n".join(FACT_LINES[:2]))),
+                ],
+                checkpoint_threshold=1,
+            )
+            await server.start()
+            try:
+                client = server.local_client()
+                for name, strategies in (
+                    ("left", ("demand", "materialized")),
+                    ("right", ("materialized", None)),
+                ):
+                    for strategy in strategies:
+                        await asyncio.gather(
+                            *[
+                                client.query(text, kb=name, strategy=strategy)
+                                for text in QUERY_TEXTS
+                            ]
+                        )
+                    await client.add_facts("ACEquipment(sw9).", kb=name)
+                    await client.query("Equipment(?x)", kb=name)
+                return await client.stats()
+            finally:
+                await server.shutdown()
+
+        def key_wise_sum(blocks):
+            total = {}
+            for block in blocks:
+                for key, value in block.items():
+                    total[key] = total.get(key, 0) + value
+            return dict(sorted(total.items()))
+
+        stats = asyncio.run(scenario())
+        kbs = [stats["kbs"]["left"], stats["kbs"]["right"]]
+        assert kbs[0]["share_key"] != kbs[1]["share_key"]
+        batchers = [block["batcher"] for block in kbs]
+        batching = stats["batching"]
+        for key, value in batchers[0].items():
+            if key == "max_batch_size":
+                assert batching[key] == max(block[key] for block in batchers)
+            elif isinstance(value, dict):
+                assert batching[key] == key_wise_sum(block[key] for block in batchers), key
+            else:
+                assert batching[key] == sum(block[key] for block in batchers), key
+        assert set(batching) == set(batchers[0]) | {"evaluated_by_strategy"}
+        assert batching["requests_by_strategy"] == {"auto": 6, "demand": 4, "materialized": 8}
+        assert batching["mutations"] == 2
+        assert batching["evaluated_by_strategy"] == key_wise_sum(
+            block["evaluated_by_strategy"] for block in kbs
+        )
+        assert [block["checkpoints"] for block in kbs] == [1, 1]
+        assert stats["resilience"]["checkpoints"] == 2
+
     def test_invalid_strategy_is_an_error_response(self, kb):
         async def scenario():
             server = await make_server(kb)

@@ -289,8 +289,8 @@ class TestStats:
         assert stats.solves == 1
         assert GLOBAL_MATCH_SOLVER_STATS.solves == 0
 
-    def test_as_dict_keys(self):
-        assert set(MatchSolverStats().as_dict()) == {
+    def test_snapshot_keys(self):
+        assert set(MatchSolverStats().snapshot()) == {
             "solves",
             "solutions",
             "nodes_expanded",
