@@ -52,7 +52,7 @@ from .logic.parser import parse_fact, parse_program
 from .logic.printer import format_datalog_program, format_fact
 from .logic.tgd import bwidth, head_normalize, hwidth, split_full_non_full
 from .rewriting.base import RewritingSettings
-from .rewriting.rewriter import available_algorithms
+from .rewriting.rewriter import available_algorithms, validate_guardedness
 
 
 class _SessionUpdateAction(argparse.Action):
@@ -170,12 +170,16 @@ def _command_entails(args: argparse.Namespace) -> int:
 
 
 def _command_compile(args: argparse.Namespace) -> int:
-    """Saturate a GTGD file and persist the compiled knowledge base."""
+    """Saturate a GTGD file and persist the compiled knowledge base.
+
+    Facts written in the file travel with the KB as its seed facts, so the
+    compiled file serves the answers the GTGD file would.
+    """
     program = _read_program(args.dependencies)
     kb = KnowledgeBase.compile(
         program.tgds, algorithm=args.algorithm, settings=_settings_from_args(args)
     )
-    kb.save(args.output)
+    kb.save(args.output, program.instance or None)
     stats = kb.rewriting.statistics
     print(
         f"# compiled {stats.input_size} input clauses with {args.algorithm} into "
@@ -405,6 +409,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 def _command_stats(args: argparse.Namespace) -> int:
     program = _read_program(args.dependencies)
+    validate_guardedness(program.tgds)
     normalized = head_normalize(program.tgds)
     full, non_full = split_full_non_full(normalized)
     print(f"dependencies:      {len(program.tgds)}")

@@ -25,7 +25,6 @@ from .query import (
     QueryOptions,
     QueryValidationError,
     QUERY_STRATEGIES,
-    boolean_query_holds,
     evaluate_query,
     parse_query,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "ReasoningSession",
     "RetractionResult",
     "RulePlan",
-    "boolean_query_holds",
     "compiled_engine",
     "demand_answer",
     "evaluate_query",

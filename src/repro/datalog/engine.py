@@ -145,7 +145,6 @@ class DatalogEngine:
     def materialize(
         self,
         instance: Instance | Iterable[Atom],
-        max_rounds: Optional[int] = None,
         max_work: Optional[int] = None,
     ) -> MaterializationResult:
         """Compute the fixpoint of the program on the given instance.
@@ -175,7 +174,7 @@ class DatalogEngine:
                     new_rows.add((head_predicate, row))
         _check_work(max_work, applications + stats.batches, 0)
         rounds, derived, loop_applications = self._fixpoint_loop(
-            store, new_rows, stats, max_rounds, max_work, applications
+            store, new_rows, stats, max_work, applications
         )
         return MaterializationResult(
             store=store,
@@ -200,11 +199,6 @@ class DatalogEngine:
         consequences of the delta only.  The compiled plans are the same
         objects used by full materialization — the delta rides the identical
         fast path.
-
-        Unlike :meth:`materialize` there is deliberately no ``max_rounds``
-        knob: a truncated delta propagation would leave the store below
-        fixpoint, silently violating this method's own precondition for every
-        later call.
         """
         # encode at the boundary: assertions enter row space here and the
         # whole propagation stays in it
@@ -335,7 +329,6 @@ class DatalogEngine:
         store: FactStore,
         new_rows: Set[Tuple[Predicate, Row]],
         stats: JoinPlanStats,
-        max_rounds: Optional[int] = None,
         max_work: Optional[int] = None,
         spent: int = 0,
     ) -> Tuple[int, int, int]:
@@ -363,8 +356,6 @@ class DatalogEngine:
                         delta_by_predicate[predicate] = [row]
                     else:
                         bucket.append(row)
-            if max_rounds is not None and rounds >= max_rounds:
-                break
             new_rows = set()
             for rule in self._rules_touching(delta_by_predicate.keys()):
                 plan = plans[rule]
@@ -565,7 +556,6 @@ def clear_engine_cache() -> None:
 def materialize(
     program: DatalogProgram | Iterable[Rule],
     instance: Instance | Iterable[Atom],
-    max_rounds: Optional[int] = None,
 ) -> MaterializationResult:
     """Convenience wrapper: materialize a program (or iterable of rules).
 
@@ -574,4 +564,4 @@ def materialize(
     """
     if not isinstance(program, DatalogProgram):
         program = DatalogProgram(program)
-    return compiled_engine(program).materialize(instance, max_rounds=max_rounds)
+    return compiled_engine(program).materialize(instance)

@@ -50,8 +50,7 @@ object.  Constants in a step's key are resolved against the store's
 :class:`~repro.datalog.store.TermTable` once per execution — a constant
 the table has never seen cannot match any stored row, so the step
 short-circuits to an empty batch.  Decoding back to interned terms happens
-only at the boundaries: :meth:`RulePlan.project_head` (term-space callers)
-and the query answer projection; the engine commits
+only in the query answer projection; the engine commits
 :meth:`RulePlan.project_rows` output straight back into row space.
 
 Reading the join-plan counters
@@ -584,18 +583,6 @@ class RulePlan:
         ]
         yield from zip(*arg_columns)
 
-    def project_head(self, batch: BindingBatch, store: FactStore) -> Iterator[Atom]:
-        """Instantiate the head atom for every row of a match batch (decoded).
-
-        The decode boundary for term-space callers (tests, reference
-        checks); the engine itself stays in row space via
-        :meth:`project_rows`.
-        """
-        predicate = self.rule.head.predicate
-        decode = store.terms.decode_args
-        for row in self.project_rows(batch, store):
-            yield Atom(predicate, decode(row))
-
     def shape(self) -> str:
         """Compact human-readable pipeline summary (see ``plan_shapes``)."""
         variant = self._variants.get(None) or next(iter(self._variants.values()), None)
@@ -607,23 +594,6 @@ class RulePlan:
 # ----------------------------------------------------------------------
 # query-plan reuse (top-level conjunctive query answering)
 # ----------------------------------------------------------------------
-def body_supports_plan(body: Tuple[Atom, ...]) -> bool:
-    """Whether the hash-join pipeline computes this body exactly.
-
-    Plans bind whole argument terms: every argument must be a variable or a
-    ground term.  A non-ground function term such as ``f(?x)`` needs proper
-    unification into the stored terms, which the probe-by-equality key index
-    cannot express — those (rare, query-only) bodies take the
-    tuple-at-a-time matching fallback instead.  Datalog *rule* bodies are
-    validated function-free, so the engine itself never hits this.
-    """
-    for atom in body:
-        for arg in atom.args:
-            if not isinstance(arg, Variable) and not arg.is_ground:
-                return False
-    return True
-
-
 _BODY_PLAN_CACHE: Dict[Tuple[Atom, ...], PlanVariant] = {}
 _BODY_PLAN_CACHE_LIMIT = 512
 

@@ -2,20 +2,22 @@
 
 The rewriting approach preserves exactly the *base facts* entailed on each
 base instance, so it supports conjunctive queries where every variable is an
-answer variable (Section 1).  A query is evaluated by matching its atoms into
-a materialized fact store and projecting onto the answer variables.
+answer variable (Section 1).  Base facts hold constants only, so a query
+atom holds variables and constants, never a function term.  A query is
+evaluated by joining its atoms over a materialized fact store and projecting
+onto the answer variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from ..logic.atoms import Atom
 from ..logic.terms import Term, Variable
 from .engine import MaterializationResult
 from .store import FactStore
-from .plan import JoinPlanStats, body_supports_plan, compiled_body_plan
+from .plan import JoinPlanStats, compiled_body_plan
 
 
 class QueryValidationError(ValueError):
@@ -69,12 +71,20 @@ DEFAULT_QUERY_OPTIONS = QueryOptions()
 
 @dataclass(frozen=True)
 class ConjunctiveQuery:
-    """An existential-free conjunctive query ``ans(x) <- body``."""
+    """An existential-free conjunctive query ``ans(x) <- body``.
+
+    Body atoms are function-free; a Boolean query has no answer variables.
+    """
 
     answer_variables: Tuple[Variable, ...]
     body: Tuple[Atom, ...]
 
     def __post_init__(self) -> None:
+        for atom in self.body:
+            if not atom.is_function_free:
+                raise QueryValidationError(
+                    f"query atoms must be function-free: {atom}"
+                )
         body_variables = {var for atom in self.body for var in atom.variables()}
         answer_set = set(self.answer_variables)
         if len(answer_set) != len(self.answer_variables):
@@ -128,16 +138,11 @@ def evaluate_query(
 
     The body runs through the same compiled hash-join pipeline the engine
     uses for rule bodies (:func:`repro.datalog.plan.compiled_body_plan`);
-    answers are projected straight out of the columnar match batch.  Bodies
-    containing non-ground function terms (which need unification, not
-    key-equality probing) fall back to tuple-at-a-time matching.
+    answers are projected straight out of the columnar match batch.  A
+    Boolean query (no answer variables) returns ``{()}`` when its body
+    holds and the empty set otherwise.
     """
     store = _as_store(facts)
-    if not body_supports_plan(query.body):
-        answers = set()
-        for match in _match_all_fallback(query.body, store):
-            answers.add(tuple(match[var] for var in query.answer_variables))
-        return frozenset(answers)
     batch = compiled_body_plan(query.body).execute(store, None, JoinPlanStats())
     if not batch.size:
         return frozenset()
@@ -150,27 +155,6 @@ def evaluate_query(
         for var in query.answer_variables
     ]
     return frozenset(zip(*answer_columns))
-
-
-def boolean_query_holds(
-    body: Sequence[Atom], facts: FactStore | MaterializationResult | Iterable[Atom]
-) -> bool:
-    """Evaluate a Boolean (variable-free) conjunctive query."""
-    store = _as_store(facts)
-    body = tuple(body)
-    if not body_supports_plan(body):
-        for _ in _match_all_fallback(body, store):
-            return True
-        return False
-    batch = compiled_body_plan(body).execute(store, None, JoinPlanStats())
-    return batch.size > 0
-
-
-def _match_all_fallback(body: Tuple[Atom, ...], store: FactStore):
-    """Tuple-at-a-time matching for bodies the plan compiler cannot express."""
-    from ..unification.matching import match_conjunction_into_set
-
-    return match_conjunction_into_set(body, tuple(store))
 
 
 def _as_store(facts: FactStore | MaterializationResult | Iterable[Atom]) -> FactStore:

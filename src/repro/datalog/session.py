@@ -48,7 +48,7 @@ program.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from ..logic.atoms import Atom
 from ..logic.instance import Instance
@@ -127,7 +127,6 @@ class ReasoningSession:
         self._retractions = 0
         self._join_stats = JoinPlanStats()
         self._demand_stats = _DemandStats()
-        self._mutation_listeners: List[Callable[["ReasoningSession", str], None]] = []
         if not defer_materialization:
             self._warm()
 
@@ -227,33 +226,6 @@ class ReasoningSession:
         return self._store.base_count
 
     @property
-    def generation(self) -> int:
-        """Monotone mutation counter: bumps on every add/retract call.
-
-        Two reads of the session with the same generation are guaranteed to
-        see the same materialization, which is what answer caches key on —
-        see :class:`repro.serve.cache.AnswerCache`.
-        """
-        return self._updates + self._retractions
-
-    def add_mutation_listener(
-        self, listener: Callable[["ReasoningSession", str], None]
-    ) -> None:
-        """Register ``listener(session, kind)`` to fire after every mutation.
-
-        ``kind`` is ``"add"`` or ``"retract"``.  Listeners run after the
-        store has reached the post-mutation fixpoint (so reading answers
-        from inside a listener is safe) and before the mutating call
-        returns.  The serving layer uses this as its cache-invalidation
-        hook (:meth:`repro.serve.cache.AnswerCache.watch_session`).
-        """
-        self._mutation_listeners.append(listener)
-
-    def _notify_mutation(self, kind: str) -> None:
-        for listener in self._mutation_listeners:
-            listener(self, kind)
-
-    @property
     def join_stats(self) -> dict:
         """Cumulative join-plan counters over the session's lifetime.
 
@@ -292,7 +264,6 @@ class ReasoningSession:
         self._added_facts += result.added_facts
         self._updates += 1
         self._join_stats.merge(result.join_stats)
-        self._notify_mutation("add")
         return result
 
     def add_fact(self, fact: Atom) -> DeltaUpdateResult:
@@ -317,7 +288,6 @@ class ReasoningSession:
         self._retracted_facts += result.retracted_facts
         self._retractions += 1
         self._join_stats.merge(result.join_stats)
-        self._notify_mutation("retract")
         return result
 
     def retract_fact(self, fact: Atom) -> RetractionResult:

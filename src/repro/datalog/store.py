@@ -28,7 +28,7 @@ ID-encoding invariants
   hash-join probes, head projection, retraction bookkeeping — stays in row
   space.  Decoding back to interned :class:`~repro.logic.atoms.Atom`
   objects happens only in the answer projection and the whole-store
-  views (``facts()``, iteration, ``relation()``).
+  views (``facts()``, ``base_facts()``, iteration).
 * **Only ground terms are encoded.**  Variables never enter the table;
   non-ground facts are rejected exactly as the object-encoded store did.
 
@@ -53,8 +53,7 @@ from typing import (
 )
 
 from ..logic.atoms import Atom, Predicate
-from ..logic.substitution import Substitution
-from ..logic.terms import Term, Variable
+from ..logic.terms import Term
 
 #: a stored fact: the term IDs of its arguments, in argument order
 Row = Tuple[int, ...]
@@ -137,15 +136,13 @@ class TermTable:
 class FactStore:
     """An indexed set of ground facts, stored as ID-encoded int rows.
 
-    Two API layers share the same storage:
-
-    * the **atom layer** (``add``/``remove``/``__contains__``/``facts()``/
-      ``relation()``/``candidates()``…) — the historical interface; it
-      encodes/decodes at the call boundary and exists for callers that
-      genuinely live in term space (tests, snapshots, reference checks);
-    * the **row layer** (``add_row``/``remove_row``/``relation_rows``/
-      ``key_index``/``mark_base_row``…) — what the engine and the plan
-      executor use; nothing here touches a term object.
+    The **row layer** (``add_row``/``remove_row``/``relation_rows``/
+    ``key_index``/``mark_base_row``…) is what the engine and the plan
+    executor use; nothing there touches a term object.  Atoms cross the
+    **boundary** in a few places only: the constructor (whose facts are
+    all base), ``encode_fact``/``find_fact``, ``in``, and the whole-store
+    views ``facts()``, ``base_facts()`` and iteration.  A term-space fact
+    set is an :class:`~repro.logic.instance.Instance`.
 
     See the module docstring for the ID-encoding invariants and the
     base/derived (retraction) bookkeeping contract.
@@ -164,7 +161,10 @@ class FactStore:
         # (predicate, row) pairs asserted by the caller rather than inferred
         self._base: Set[Tuple[Predicate, Row]] = set()
         self._size = 0
-        self.add_all(facts, base=True)
+        for fact in facts:
+            predicate, row = self.encode_fact(fact)
+            self.add_row(predicate, row)
+            self._base.add((predicate, row))
 
     # ------------------------------------------------------------------
     # encoding boundary
@@ -189,10 +189,6 @@ class FactStore:
         if encoded in self._rows.get(fact.predicate, ()):
             return fact.predicate, encoded
         return None
-
-    def decode_row(self, predicate: Predicate, row: Row) -> Atom:
-        """The interned atom of a row (the decode boundary)."""
-        return Atom(predicate, self.terms.decode_args(row))
 
     # ------------------------------------------------------------------
     # row-layer mutation
@@ -278,50 +274,6 @@ class FactStore:
         return (predicate, row) in self._base
 
     # ------------------------------------------------------------------
-    # atom-layer mutation
-    # ------------------------------------------------------------------
-    def add(self, fact: Atom) -> bool:
-        """Add a fact; return ``True`` if it was new."""
-        predicate, row = self.encode_fact(fact)
-        return self.add_row(predicate, row)
-
-    def add_all(self, facts: Iterable[Atom], base: bool = False) -> int:
-        """Add many facts; return how many were new.
-
-        With ``base=True`` every fact is also marked base — including facts
-        already present as derived, which an assertion promotes to base.
-        """
-        added = 0
-        for fact in facts:
-            predicate, row = self.encode_fact(fact)
-            if self.add_row(predicate, row):
-                added += 1
-            if base:
-                self._base.add((predicate, row))
-        return added
-
-    def mark_base(self, fact: Atom) -> bool:
-        """Mark a stored fact as base; return ``True`` if it was derived before."""
-        found = self.find_fact(fact)
-        if found is None:
-            raise KeyError(f"cannot mark a fact not in the store as base: {fact}")
-        return self.mark_base_row(*found)
-
-    def unmark_base(self, fact: Atom) -> bool:
-        """Demote a fact from base to derived; return ``True`` if it was base."""
-        found = self.find_fact(fact)
-        if found is None:
-            return False
-        return self.unmark_base_row(*found)
-
-    def remove(self, fact: Atom) -> bool:
-        """Remove a fact, maintaining every index; return ``True`` if present."""
-        found = self.find_fact(fact)
-        if found is None:
-            return False
-        return self.remove_row(*found)
-
-    # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
     def __contains__(self, fact: Atom) -> bool:
@@ -339,34 +291,15 @@ class FactStore:
     def facts(self) -> FrozenSet[Atom]:
         return frozenset(self)
 
-    def is_base(self, fact: Atom) -> bool:
-        """``True`` if the fact was asserted (not merely derived)."""
-        found = self.find_fact(fact)
-        return found is not None and found in self._base
-
     @property
     def base_count(self) -> int:
         return len(self._base)
-
-    @property
-    def derived_count(self) -> int:
-        """Stored facts that are not base (inferred-only)."""
-        return self._size - len(self._base)
 
     def base_facts(self) -> FrozenSet[Atom]:
         """The asserted (EDB) facts — what a from-scratch rebuild would start from."""
         decode = self.terms.decode_args
         return frozenset(
             Atom(predicate, decode(row)) for predicate, row in self._base
-        )
-
-    def predicates(self) -> Tuple[Predicate, ...]:
-        return tuple(self._rows)
-
-    def relation(self, predicate: Predicate) -> FrozenSet[Atom]:
-        decode = self.terms.decode_args
-        return frozenset(
-            Atom(predicate, decode(row)) for row in self._rows.get(predicate, ())
         )
 
     def count(self, predicate: Predicate) -> int:
@@ -400,41 +333,6 @@ class FactStore:
                     bucket.append(row)
             per_predicate[positions] = index
         return index
-
-    def candidates(
-        self, atom: Atom, substitution: Optional[Substitution] = None
-    ) -> Iterable[Atom]:
-        """Facts that could match the (possibly partially bound) atom.
-
-        The most selective single-column index bucket available under the
-        current substitution is used (indexes are built lazily per probed
-        position and then maintained); if no argument is bound, the whole
-        relation is decoded.  A bound term the table has never seen means
-        no fact can match — the probe short-circuits to empty.
-        """
-        relation = self._rows.get(atom.predicate)
-        if not relation:
-            return ()
-        best: Optional[List[Row]] = None
-        for position, arg in enumerate(atom.args):
-            term: Optional[Term]
-            if isinstance(arg, Variable):
-                term = substitution.get(arg) if substitution else None
-            else:
-                term = arg
-            if term is None or not term.is_ground:
-                continue
-            term_id = self.terms.lookup(term)
-            if term_id is None:
-                return ()
-            bucket = self.key_index(atom.predicate, (position,)).get(term_id)
-            if bucket is None:
-                return ()
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        rows = relation if best is None else best
-        decode = self.terms.decode_args
-        return [Atom(atom.predicate, decode(row)) for row in rows]
 
     # ------------------------------------------------------------------
     # conversion / introspection

@@ -3,12 +3,11 @@
 The cache maps ``(kb_key, query_fingerprint)`` to an encoded answer list
 (:func:`repro.serve.protocol.encode_answers`) stamped with the *generation*
 of the knowledge base it was computed against.  Every ``add_facts`` /
-``retract_facts`` bumps the KB's generation (:meth:`AnswerCache.invalidate`
-— the server calls it at the moment a mutation enters the per-KB op log,
-or automatically via :meth:`AnswerCache.watch_session`), so an entry from
-an older generation can never be served again: lookups compare the entry's
-stamp against the KB's current generation and treat a mismatch as a miss,
-dropping the stale entry.  This closes the retraction-aware-caching gap
+``retract_facts`` bumps the KB's generation (:meth:`AnswerCache.invalidate`,
+which the server calls at the moment a mutation enters the per-KB op log),
+so an entry from an older generation can never be served again: lookups
+compare the entry's stamp against the KB's current generation and treat a
+mismatch as a miss, dropping the stale entry.  This closes the retraction-aware-caching gap
 left open by incremental retraction — a retraction invalidates exactly
 like an addition, because *any* mutation may change any query's certain
 answers.
@@ -109,17 +108,6 @@ class AnswerCache:
             self._generations[kb_key] = generation
             self._counters.invalidations += 1
             return generation
-
-    def watch_session(self, kb_key: str, session) -> None:
-        """Invalidate ``kb_key`` automatically on every mutation of ``session``.
-
-        Registers a mutation listener
-        (:meth:`repro.datalog.session.ReasoningSession.add_mutation_listener`),
-        so embedders who hand out the session directly cannot forget to
-        invalidate — any ``add_facts``/``retract_facts`` bumps the
-        generation before the mutating call returns.
-        """
-        session.add_mutation_listener(lambda _session, _kind: self.invalidate(kb_key))
 
     # ------------------------------------------------------------------
     # lookups

@@ -2,12 +2,10 @@
 shared constraint-propagating conjunctive match solver."""
 
 from .matching import (
-    exists_match_into_set,
     is_instance_of,
     is_variant,
     match_atom,
     match_atom_lists,
-    match_conjunction_into_set,
 )
 from .solver import (
     MatchSolverStats,
@@ -31,13 +29,11 @@ from .mgu import (
 
 __all__ = [
     "UnificationError",
-    "exists_match_into_set",
     "first_match",
     "is_instance_of",
     "is_variant",
     "match_atom",
     "match_atom_lists",
-    "match_conjunction_into_set",
     "MatchSolverStats",
     "match_solver_stats",
     "mgu",

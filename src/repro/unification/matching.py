@@ -3,12 +3,13 @@
 A *matcher* of an atom ``A`` against an atom ``B`` is a substitution ``μ``
 with ``μ(A) = B`` (only the variables of ``A`` may be instantiated).  Matching
 is the workhorse of subsumption checking (Definition 5.1) and of applying
-Datalog rules to ground facts.
+Datalog rules to ground facts.  A conjunction of patterns is matched into a
+set of targets by :func:`repro.unification.solver.solve_match`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..logic.atoms import Atom
 from ..logic.substitution import Substitution
@@ -68,34 +69,6 @@ def match_atom_lists(
         if substitution is None:
             return None
     return substitution
-
-
-def match_conjunction_into_set(
-    patterns: Sequence[Atom],
-    targets: Sequence[Atom],
-    base: Optional[Substitution] = None,
-) -> Iterator[Substitution]:
-    """Enumerate substitutions mapping every pattern atom to *some* target atom.
-
-    This is the subset-matching problem underlying both subsumption
-    (``μ(β1) ⊆ β2``) and rule application over a set of facts.  Routed
-    through the shared constraint-propagating solver
-    (:func:`repro.unification.solver.solve_match`): per-variable domains are
-    intersected up front, the most-constrained pattern is branched on first,
-    and every binding forward-checks the remaining patterns.
-    """
-    from .solver import solve_match
-
-    return solve_match(patterns, targets, base)
-
-
-def exists_match_into_set(
-    patterns: Sequence[Atom],
-    targets: Sequence[Atom],
-    base: Optional[Substitution] = None,
-) -> Optional[Substitution]:
-    """Return some substitution mapping all patterns into the target set, or ``None``."""
-    return next(match_conjunction_into_set(patterns, targets, base), None)
 
 
 def is_instance_of(general: Atom, specific: Atom) -> bool:

@@ -4,9 +4,9 @@ Every matching problem in this codebase reduces to the same primitive:
 enumerate the substitutions that map a conjunction of pattern atoms into a
 candidate universe.  Four bespoke backtracking recursions used to exist —
 FullDR's bounded-substitution cartesian product, the Skolem chase's body
-matcher, exact subsumption's body/head enumerators, and
-``match_conjunction_into_set`` behind the naive Datalog reference evaluator
-and the guarded chase engine.  This module replaces all of them with one
+matcher, exact subsumption's body/head enumerators, and the conjunction
+matcher behind the naive Datalog reference evaluator and the guarded chase
+engine.  This module replaces all of them with one
 engine built on the classic join-ordering/selectivity ideas from the database
 literature: prune a variable's candidates the moment any atom's partial
 assignment rules them out, and branch on the most-constrained variable first.
@@ -276,8 +276,8 @@ def solve_match(
     """Enumerate substitutions mapping every pattern atom into the universe.
 
     This is the subset-matching primitive behind rule application over a
-    fact store, the Skolem/guarded chase body matchers, exact subsumption's
-    body check, and :func:`repro.unification.matching.match_conjunction_into_set`.
+    fact store, the Skolem/guarded chase body matchers and exact
+    subsumption's body check.
     ``base`` pre-seeds the substitution; only extensions of it are yielded.
     """
     stats = stats or GLOBAL_MATCH_SOLVER_STATS

@@ -46,10 +46,15 @@ class TestTransitiveClosure:
         assert result.rounds >= 3
         assert result.rule_applications >= 6
 
-    def test_max_rounds_truncates(self):
+    def test_max_work_below_the_closure_raises(self):
+        # a budget short of the closure's work stops the call with an
+        # exception, never with a store below the fixpoint
         program = self._closure_program()
-        result = materialize(program.tgds, program.instance, max_rounds=1)
-        assert Reach(a, d) not in result
+        engine = DatalogEngine(DatalogProgram(program.tgds))
+        full = engine.materialize(program.instance)
+        work = full.rule_applications + full.join_stats["batches"]
+        with pytest.raises(BudgetExceeded):
+            engine.materialize(program.instance, max_work=work - 1)
 
     def test_len_and_contains(self):
         program = self._closure_program()
@@ -162,23 +167,27 @@ class TestSemiNaiveBookkeeping:
         assert result.derived_count == 0
         assert len(result) == 1
 
-    def test_max_rounds_truncates_at_exact_depth(self):
+    def test_max_work_raises_at_every_budget_below_the_fixpoint(self):
+        # each chain link costs one join step and one rule application, in
+        # round 0 and in rounds 1-3; the check after each round stops the
+        # call at most one round past its budget
         program = self._chain_program(4)
-        p = lambda i: Predicate(f"P{i}", 1)
-        for cap in range(1, 5):
-            result = materialize(program.tgds, program.instance, max_rounds=cap)
-            assert result.rounds == cap
-            assert result.derived_count == cap
-            assert p(cap)(a) in result
-            if cap < 4:
-                assert p(cap + 1)(a) not in result
+        engine = DatalogEngine(DatalogProgram(program.tgds))
+        for budget in range(8):
+            with pytest.raises(BudgetExceeded) as spent:
+                engine.materialize(program.instance, max_work=budget)
+            rounds = budget // 2
+            assert (spent.value.spent, spent.value.rounds) == (2 * rounds + 2, rounds)
 
-    def test_max_rounds_larger_than_fixpoint_is_harmless(self):
+    def test_max_work_at_or_above_the_fixpoint_is_harmless(self):
         program = self._chain_program(3)
-        capped = materialize(program.tgds, program.instance, max_rounds=50)
-        uncapped = materialize(program.tgds, program.instance)
-        assert capped.facts() == uncapped.facts()
-        assert capped.rounds == uncapped.rounds == 3
+        engine = DatalogEngine(DatalogProgram(program.tgds))
+        uncapped = engine.materialize(program.instance)
+        work = uncapped.rule_applications + uncapped.join_stats["batches"]
+        for budget in (work, 50 * work):
+            capped = engine.materialize(program.instance, max_work=budget)
+            assert capped.facts() == uncapped.facts()
+            assert capped.rounds == uncapped.rounds == 3
 
     def test_max_work_raises_once_the_work_passes_it(self):
         # work is rule applications plus join steps: one of each per chain
@@ -322,7 +331,7 @@ class TestRetraction:
         assert result.retracted_facts == 1
         assert result.net_removed == 0
         assert Link(a, b) in store
-        assert not store.is_base(Link(a, b))
+        assert Link(a, b) not in store.base_facts()
 
     def test_never_added_and_derived_only_inputs_are_ignored(self):
         engine, store = self._closure_engine("Edge(a, b). Edge(b, c).")

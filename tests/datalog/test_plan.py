@@ -25,6 +25,11 @@ x, y, z = Variable("x"), Variable("y"), Variable("z")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 
 
+def decoded(store, predicate, rows):
+    """The facts the rows of one relation encode, in row order."""
+    return [predicate(*store.terms.decode_args(row)) for row in rows]
+
+
 def closure_rule() -> Rule:
     return Rule((Reach(x, y), Edge(y, z)), Reach(x, z))
 
@@ -144,7 +149,7 @@ class TestRulePlan:
         plan = RulePlan(rule)
         store = FactStore([S(b)])
         batch = plan.variant(None).execute(store, None, JoinPlanStats())
-        assert list(plan.project_head(batch, store)) == [R(b, a)]
+        assert decoded(store, R, plan.project_rows(batch, store)) == [R(b, a)]
 
     def test_shape_mentions_scan_and_keyed_join(self):
         plan = RulePlan(closure_rule())
@@ -159,7 +164,10 @@ class TestHeadBoundDerivations:
     def _instances(plan, store, fact):
         _, row = store.encode_fact(fact)
         return {
-            tuple(store.decode_row(predicate, body_row) for predicate, body_row in body)
+            tuple(
+                predicate(*store.terms.decode_args(body_row))
+                for predicate, body_row in body
+            )
             for body in plan.derivations(store, row, JoinPlanStats())
         }
 
@@ -201,7 +209,7 @@ class TestHeadBoundDerivations:
         assert not any(step.outputs for step in plan.head_bound_variant().steps)
         store = FactStore([R(a, b), S(b)])
         assert self._instances(plan, store, T(a, b, a)) == {(R(a, b), S(b))}
-        store.remove(S(b))
+        store.remove_row(*store.find_fact(S(b)))
         assert self._instances(plan, store, T(a, b, a)) == set()
 
 
@@ -210,12 +218,9 @@ class TestKeyIndexMaintenance:
         store = FactStore([Edge(a, b)])
         index = store.key_index(Edge, (0,))
         a_id = store.terms.lookup(a)
-        assert [store.decode_row(Edge, row) for row in index[a_id]] == [Edge(a, b)]
-        store.add(Edge(a, c))
-        assert {store.decode_row(Edge, row) for row in index[a_id]} == {
-            Edge(a, b),
-            Edge(a, c),
-        }
+        assert decoded(store, Edge, index[a_id]) == [Edge(a, b)]
+        store.add_row(*store.encode_fact(Edge(a, c)))
+        assert set(decoded(store, Edge, index[a_id])) == {Edge(a, b), Edge(a, c)}
 
     def test_a_fully_keyed_step_tests_membership_without_an_index(self):
         # whichever atom leads, the other is keyed on every argument, so
@@ -226,16 +231,20 @@ class TestKeyIndexMaintenance:
         store = engine.materialize(
             [Edge(a, b), Edge(b, c), R(a, b), R(c, b), R(a, a)]
         ).store
-        assert store.relation(both) == frozenset({both(a, b)})
+        assert decoded(store, both, store.relation_rows(both)) == [both(a, b)]
         engine.extend(store, [R(b, c), Edge(a, a)])
-        assert store.relation(both) == frozenset({both(a, b), both(b, c), both(a, a)})
+        assert set(decoded(store, both, store.relation_rows(both))) == {
+            both(a, b),
+            both(b, c),
+            both(a, a),
+        }
         assert store.stats()["key_indexes"] == 0
 
     def test_multi_column_keys_are_tuples(self):
         store = FactStore([T(a, b, c)])
         index = store.key_index(T, (0, 2))
         key = (store.terms.lookup(a), store.terms.lookup(c))
-        assert [store.decode_row(T, row) for row in index[key]] == [T(a, b, c)]
+        assert decoded(store, T, index[key]) == [T(a, b, c)]
 
 
 class TestEngineCache:
@@ -273,39 +282,3 @@ class TestQueryPlanCache:
     def test_compiled_body_plan_is_cached(self):
         body = (Edge(x, y),)
         assert compiled_body_plan(body) is compiled_body_plan(body)
-
-
-class TestFunctionTermQueries:
-    """Bodies with non-ground function terms fall back to unification."""
-
-    def _skolem(self):
-        from repro.logic.terms import FunctionSymbol
-
-        return FunctionSymbol("f", 1)
-
-    def test_body_supports_plan_detection(self):
-        from repro.datalog.plan import body_supports_plan
-
-        f = self._skolem()
-        P = Predicate("P", 1)
-        assert body_supports_plan((P(a), P(x)))
-        assert body_supports_plan((P(f(a)),))  # ground skolem term = constant
-        assert not body_supports_plan((P(f(x)),))
-
-    def test_query_with_non_ground_function_term_unifies(self):
-        from repro.datalog.query import ConjunctiveQuery, evaluate_query
-
-        f = self._skolem()
-        P = Predicate("P", 1)
-        store = FactStore([P(f(a)), P(b)])
-        answers = evaluate_query(ConjunctiveQuery((x,), (P(f(x)),)), store)
-        assert answers == {(a,)}
-
-    def test_boolean_query_with_ground_function_term(self):
-        from repro.datalog.query import boolean_query_holds
-
-        f = self._skolem()
-        P = Predicate("P", 1)
-        store = FactStore([P(f(a))])
-        assert boolean_query_holds((P(f(a)),), store)
-        assert not boolean_query_holds((P(f(b)),), store)

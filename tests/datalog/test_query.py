@@ -7,17 +7,17 @@ from repro.datalog.store import FactStore
 from repro.datalog.query import (
     ConjunctiveQuery,
     QueryValidationError,
-    boolean_query_holds,
     evaluate_query,
 )
 from repro.logic.atoms import Predicate
 from repro.logic.parser import parse_program
-from repro.logic.terms import Constant, Variable
+from repro.logic.terms import Constant, FunctionSymbol, Variable
 
 R = Predicate("R", 2)
 S = Predicate("S", 1)
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 x, y = Variable("x"), Variable("y")
+f = FunctionSymbol("f", 1)
 
 
 class TestValidation:
@@ -32,6 +32,15 @@ class TestValidation:
     def test_duplicate_answer_variables_rejected(self):
         with pytest.raises(QueryValidationError):
             ConjunctiveQuery((x, x), (R(x, x),))
+
+    def test_ground_function_term_rejected(self):
+        # base facts hold constants only, so a query never needs f(a)
+        with pytest.raises(QueryValidationError, match="function-free"):
+            ConjunctiveQuery((), (S(f(a)),))
+
+    def test_non_ground_function_term_rejected(self):
+        with pytest.raises(QueryValidationError, match="function-free"):
+            ConjunctiveQuery((x,), (S(f(x)),))
 
     def test_valid_query(self):
         query = ConjunctiveQuery((x, y), (R(x, y),))
@@ -84,10 +93,19 @@ class TestEvaluation:
 
 
 class TestBooleanQueries:
+    """A query without answer variables answers ``{()}`` or nothing."""
+
     def test_holds(self):
         store = FactStore([R(a, b), S(a)])
-        assert boolean_query_holds((R(a, b), S(a)), store)
+        query = ConjunctiveQuery((), (R(a, b), S(a)))
+        assert evaluate_query(query, store) == {()}
 
     def test_does_not_hold(self):
         store = FactStore([R(a, b)])
-        assert not boolean_query_holds((R(b, a),), store)
+        assert evaluate_query(ConjunctiveQuery((), (R(b, a),)), store) == frozenset()
+
+    def test_unseen_constant_does_not_hold(self):
+        # c has no term ID in the store, so the plan's probe short-circuits
+        store = FactStore([R(a, b)])
+        assert evaluate_query(ConjunctiveQuery((), (R(a, c),)), store) == frozenset()
+        assert store.terms.lookup(c) is None

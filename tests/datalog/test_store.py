@@ -1,12 +1,16 @@
 """Tests for the ID-encoded columnar store (repro.datalog.store).
 
-The hypothesis properties pin the store's observable behaviour to an
-*object-encoded reference model* — plain sets of interned atoms, the
+The store is tested through its row layer (``add_row``/``remove_row``, the
+base marks, ``relation_rows``/``key_index``) and its boundary (the
+constructor, ``encode_fact``/``find_fact``, ``in``, ``facts()``/
+``base_facts()``).  The hypothesis properties pin its observable behaviour
+to an *object-encoded reference model* — plain sets of interned atoms, the
 representation the store used before ID encoding — across arbitrary
-add/retract interleavings, both at the store level (``add``/``remove``/base
-bookkeeping) and through the engine's ``extend``/``retract``.
+add/retract interleavings, both at the store level and through the
+engine's ``extend``/``retract``.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +18,7 @@ from repro.datalog.engine import DatalogEngine
 from repro.datalog.program import DatalogProgram
 from repro.datalog.store import FactStore, TermTable, row_key
 from repro.logic.atoms import Predicate
+from repro.logic.parser import parse_program
 from repro.logic.rules import datalog_tgd_to_rule
 from repro.logic.terms import Constant, Variable
 
@@ -24,6 +29,25 @@ R = Predicate("R", 2)
 S = Predicate("S", 1)
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 x = Variable("x")
+
+
+def add(store, fact):
+    """Add a fact through the row layer, unmarked (as the engine derives it)."""
+    return store.add_row(*store.encode_fact(fact))
+
+
+def row_of(store, fact):
+    """The ``(predicate, row)`` of a stored fact."""
+    found = store.find_fact(fact)
+    assert found is not None, fact
+    return found
+
+
+def decoded(store, predicate, rows):
+    """The facts a collection of rows of one relation encodes."""
+    if rows is None:
+        return None
+    return {predicate(*store.terms.decode_args(row)) for row in rows}
 
 RELAXED = settings(
     max_examples=50,
@@ -63,8 +87,6 @@ class TestTermTable:
 
 class TestRowBoundary:
     def test_encode_fact_rejects_non_ground(self):
-        import pytest
-
         store = FactStore()
         with pytest.raises(ValueError):
             store.encode_fact(R(a, x))
@@ -81,8 +103,8 @@ class TestRowBoundary:
         """Removed rows must still decode: term IDs are never reclaimed."""
         store = FactStore([R(a, b)])
         predicate, row = store.find_fact(R(a, b))
-        store.remove(R(a, b))
-        assert store.decode_row(predicate, row) == R(a, b)
+        store.remove_row(predicate, row)
+        assert store.terms.decode_args(row) == (a, b)
         # re-adding the same fact reuses the same term IDs (append-only map)
         assert store.encode_fact(R(a, b)) == (predicate, row)
 
@@ -109,6 +131,177 @@ class TestRowBoundary:
         assert stats["rows"] == 2
         assert stats["key_indexes"] == 1
         assert stats["encode_calls"] >= 3
+
+
+class TestStorage:
+    def test_add_and_len(self):
+        store = FactStore([R(a, b), S(a)])
+        assert len(store) == 2
+        assert R(a, b) in store
+        assert R(b, a) not in store
+
+    def test_duplicate_adds_are_ignored(self):
+        store = FactStore()
+        assert add(store, R(a, b))
+        assert not add(store, R(a, b))
+        assert len(store) == 1
+
+    def test_constructor_deduplicates_facts(self):
+        store = FactStore([R(a, b), R(a, b), R(b, c)])
+        assert len(store) == 2
+        assert store.base_count == 2
+
+    def test_non_ground_facts_rejected(self):
+        with pytest.raises(ValueError):
+            FactStore([R(a, x)])
+
+    def test_relation_rows_and_counts(self):
+        store = FactStore([R(a, b), R(b, c), S(a)])
+        assert decoded(store, R, store.relation_rows(R)) == {R(a, b), R(b, c)}
+        assert store.count(R) == 2
+        assert store.counts_by_predicate()[S] == 1
+
+    def test_copy_is_independent(self):
+        store = FactStore([R(a, b)])
+        clone = store.copy()
+        add(clone, S(a))
+        assert len(store) == 1
+        assert S(a) not in store
+
+
+class TestKeyIndexLookup:
+    """``key_index``: the int-keyed buckets every plan step probes."""
+
+    def test_unbound_probe_reads_the_whole_relation(self):
+        store = FactStore([R(a, b), R(b, c)])
+        assert decoded(store, R, store.relation_rows(R)) == {R(a, b), R(b, c)}
+
+    def test_constant_argument_uses_position_index(self):
+        store = FactStore([R(a, b), R(b, c), R(a, c)])
+        bucket = store.key_index(R, (0,)).get(store.terms.lookup(a))
+        assert decoded(store, R, bucket) == {R(a, b), R(a, c)}
+
+    def test_second_position_index(self):
+        store = FactStore([R(a, b), R(b, c), R(a, c)])
+        bucket = store.key_index(R, (1,)).get(store.terms.lookup(c))
+        assert decoded(store, R, bucket) == {R(b, c), R(a, c)}
+
+    def test_two_column_key_narrows_to_one_row(self):
+        # each single column holds two rows; the pair of them holds one
+        store = FactStore([R(a, b), R(a, c), R(b, c)])
+        lookup = store.terms.lookup
+        bucket = store.key_index(R, (0, 1)).get((lookup(a), lookup(c)))
+        assert decoded(store, R, bucket) == {R(a, c)}
+
+    def test_unknown_term_has_no_id_and_no_bucket(self):
+        store = FactStore([R(a, b)])
+        assert store.terms.lookup(c) is None
+        assert set(store.key_index(R, (0,))) == {store.terms.lookup(a)}
+
+    def test_unknown_predicate_has_no_rows(self):
+        store = FactStore([R(a, b)])
+        assert not store.relation_rows(S)
+        assert store.count(S) == 0
+        assert store.key_index(S, (0,)) == {}
+
+
+class TestBaseDerivedBookkeeping:
+    def test_constructor_facts_are_base(self):
+        store = FactStore([R(a, b), S(a)])
+        assert store.is_base_row(*row_of(store, R(a, b)))
+        assert store.base_count == 2
+        assert len(store) == store.base_count
+        assert store.base_facts() == {R(a, b), S(a)}
+
+    def test_add_row_defaults_to_derived(self):
+        store = FactStore()
+        add(store, R(a, b))
+        assert not store.is_base_row(*row_of(store, R(a, b)))
+        assert store.base_count == 0
+        assert store.base_facts() == frozenset()
+
+    def test_asserting_a_derived_fact_promotes_it(self):
+        program = parse_program("R(?x, ?y) -> S(?x).")
+        engine = DatalogEngine(DatalogProgram(program.tgds))
+        store = engine.materialize([R(a, b)]).store
+        assert S(a) in store and S(a) not in store.base_facts()
+        # asserting an already-derived fact adds nothing but promotes it
+        assert engine.extend(store, [S(a)]).added_facts == 0
+        assert store.base_facts() == {R(a, b), S(a)}
+        assert len(store) == store.base_count
+
+    def test_mark_base_reports_promotion(self):
+        store = FactStore()
+        add(store, R(a, b))
+        assert store.mark_base_row(*row_of(store, R(a, b)))
+        assert not store.mark_base_row(*row_of(store, R(a, b)))
+
+    def test_mark_base_rejects_absent_fact(self):
+        store = FactStore()
+        with pytest.raises(KeyError):
+            store.mark_base_row(*store.encode_fact(R(a, b)))
+
+    def test_unmark_base_demotes_without_removing(self):
+        store = FactStore([R(a, b)])
+        pair = row_of(store, R(a, b))
+        assert store.unmark_base_row(*pair)
+        assert R(a, b) in store
+        assert not store.is_base_row(*pair)
+        assert not store.unmark_base_row(*pair)
+
+    def test_copy_preserves_base_marks(self):
+        store = FactStore([R(a, b)])
+        add(store, R(b, c))
+        clone = store.copy()
+        assert clone.base_facts() == {R(a, b)}
+        assert R(b, c) in clone
+        clone.unmark_base_row(*row_of(clone, R(a, b)))
+        assert store.base_facts() == {R(a, b)}
+
+
+class TestRemoval:
+    def test_remove_updates_len_and_membership(self):
+        store = FactStore([R(a, b), R(b, c)])
+        assert store.remove_row(*row_of(store, R(a, b)))
+        assert len(store) == 1
+        assert R(a, b) not in store
+        assert decoded(store, R, store.relation_rows(R)) == {R(b, c)}
+
+    def test_remove_absent_fact_is_a_noop(self):
+        store = FactStore([R(a, b)])
+        assert not store.remove_row(*store.encode_fact(R(b, a)))
+        assert not store.remove_row(*store.encode_fact(S(a)))
+        assert len(store) == 1
+
+    def test_remove_trims_position_index(self):
+        store = FactStore([R(a, b), R(a, c)])
+        by_first = store.key_index(R, (0,))
+        by_second = store.key_index(R, (1,))
+        store.remove_row(*row_of(store, R(a, b)))
+        assert decoded(store, R, by_first.get(store.terms.lookup(a))) == {R(a, c)}
+        assert store.terms.lookup(b) not in by_second
+
+    def test_remove_trims_key_index_buckets(self):
+        store = FactStore([R(a, b), R(a, c)])
+        # force a key-index bucket on position 0, then shrink it
+        # (single-column keys are the bare term ID, see row_key)
+        a_id = store.terms.lookup(a)
+
+        def bucket():
+            return decoded(store, R, store.key_index(R, (0,)).get(a_id))
+
+        assert bucket() == {R(a, b), R(a, c)}
+        store.remove_row(*row_of(store, R(a, b)))
+        assert bucket() == {R(a, c)}
+        store.remove_row(*row_of(store, R(a, c)))
+        assert bucket() is None
+
+    def test_remove_discards_base_mark(self):
+        store = FactStore([R(a, b)])
+        store.remove_row(*row_of(store, R(a, b)))
+        assert store.base_count == 0
+        add(store, R(a, b))
+        assert store.base_facts() == frozenset()
 
 
 class _ReferenceStore:
@@ -170,29 +363,34 @@ class TestStoreEquivalenceProperties:
         reference = _ReferenceStore()
         for op, fact in operations:
             if op == "add":
-                assert store.add(fact) == reference.add(fact)
+                assert add(store, fact) == reference.add(fact)
             elif op == "add_base":
-                store.add_all([fact], base=True)
+                # an assertion, as extend makes it: add, then mark base
+                pair = store.encode_fact(fact)
+                store.add_row(*pair)
+                store.mark_base_row(*pair)
                 reference.add(fact, base=True)
             elif op == "remove":
-                assert store.remove(fact) == reference.remove(fact)
+                found = store.find_fact(fact)
+                removed = found is not None and store.remove_row(*found)
+                assert removed == reference.remove(fact)
             else:
                 if fact in reference.facts:
-                    assert store.unmark_base(fact) == reference.unmark_base(fact)
+                    pair = row_of(store, fact)
+                    assert store.unmark_base_row(*pair) == reference.unmark_base(fact)
             _assert_store_equal(store, reference)
-        # index-backed candidate retrieval agrees with a naive scan for
-        # every bound probe over the final state
+        # the first-position key index agrees with a naive scan for every
+        # term bound there in the final state
         for fact in set(reference.facts):
-            probe = fact.predicate(fact.args[0], *[
-                Variable(f"w{i}") for i in range(1, fact.predicate.arity)
-            ])
+            index = store.key_index(fact.predicate, (0,))
+            bucket = index.get(store.terms.lookup(fact.args[0]))
             expected = {
                 other
                 for other in reference.facts
                 if other.predicate is fact.predicate
                 and other.args[0] == fact.args[0]
             }
-            assert set(store.candidates(probe)) == expected
+            assert decoded(store, fact.predicate, bucket) == expected
 
     @RELAXED
     @given(

@@ -228,6 +228,21 @@ class TestServeBatchCommand:
         assert exit_code == 0
         assert "seedsw" in capsys.readouterr().out
 
+    def test_compiled_kb_serves_facts_from_dependency_file(
+        self, facts_file, queries_file, tmp_path, capsys
+    ):
+        # one file answers the same compiled and uncompiled: its facts are
+        # saved with the KB as seed facts
+        mixed = tmp_path / "mixed.gtgd"
+        mixed.write_text(CIM_DEPENDENCIES + "ACEquipment(seedsw).", encoding="utf-8")
+        kb_path = tmp_path / "mixed.kb.json"
+        assert main(["compile", str(mixed), "-o", str(kb_path)]) == 0
+        exit_code = main(
+            ["serve-batch", str(kb_path), str(facts_file), str(queries_file)]
+        )
+        assert exit_code == 0
+        assert "seedsw" in capsys.readouterr().out
+
     def test_serve_batch_applies_deltas_incrementally(
         self, kb_file, facts_file, queries_file, tmp_path, capsys
     ):
@@ -432,13 +447,13 @@ class TestInputErrors:
             for problem in ("syntax-error", "unguarded-tgd", "missing-file", "negative-timeout")
         ]
         # ``serve-batch`` and ``serve`` already refused a missing file; ``stats``
-        # takes no --timeout and never checks guardedness
+        # takes no --timeout
         + [
             (command, problem)
             for command in ("serve-batch", "serve")
             for problem in ("syntax-error", "unguarded-tgd", "negative-timeout")
         ]
-        + [("stats", "syntax-error"), ("stats", "missing-file")],
+        + [("stats", problem) for problem in ("syntax-error", "unguarded-tgd", "missing-file")],
     )
     def test_bad_input_is_an_error_line_with_exit_2(
         self, command, problem, dependency_file, facts_file, tmp_path, capsys

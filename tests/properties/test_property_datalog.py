@@ -11,8 +11,8 @@ from repro.logic.parser import parse_program
 from repro.logic.rules import datalog_tgd_to_rule
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant
-from repro.unification.matching import match_conjunction_into_set
 
+from ..reference_datalog import naive_reference_fixpoint
 from .strategies import base_instances, guarded_tgd_sets
 
 RELAXED = settings(
@@ -20,21 +20,6 @@ RELAXED = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-
-def _naive_fixpoint(rules, facts):
-    """Reference implementation: naive bottom-up evaluation."""
-    known = set(facts)
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            for match in match_conjunction_into_set(rule.body, tuple(known)):
-                fact = match.apply_atom(rule.head)
-                if fact not in known:
-                    known.add(fact)
-                    changed = True
-    return frozenset(known)
 
 
 class TestMaterializationProperties:
@@ -45,7 +30,7 @@ class TestMaterializationProperties:
             datalog_tgd_to_rule(tgd) for tgd in tgds if tgd.is_datalog_rule
         ]
         instance = Instance(facts)
-        expected = _naive_fixpoint(datalog_rules, instance)
+        expected = naive_reference_fixpoint(datalog_rules, instance)
         result = materialize(DatalogProgram(datalog_rules), instance)
         assert result.facts() == expected
 
@@ -183,7 +168,7 @@ class TestChurnProperties:
         for indices in script:
             batch = [pool[index % len(pool)] for index in indices]
             before = session.facts()
-            retracted = {fact for fact in batch if session.store.is_base(fact)}
+            retracted = set(batch) & session.store.base_facts()
             result = session.retract_facts(batch)
             asserted.difference_update(batch)
             gone = before - session.facts()

@@ -20,7 +20,7 @@ from repro.datalog import (
 )
 from repro.logic.instance import Instance
 from repro.logic.rules import datalog_tgd_to_rule
-from repro.unification.matching import match_conjunction_into_set
+from repro.unification.solver import solve_match
 
 from ..reference_datalog import naive_reference_fixpoint
 from .strategies import base_instances, guarded_tgd_sets
@@ -80,6 +80,6 @@ class TestPlanEquivalence:
             query = ConjunctiveQuery(variables, rule.body)
             expected = frozenset(
                 tuple(match[var] for var in variables)
-                for match in match_conjunction_into_set(rule.body, tuple(store))
+                for match in solve_match(rule.body, tuple(store))
             )
             assert evaluate_query(query, store) == expected

@@ -14,7 +14,7 @@ from repro.datalog.program import DatalogProgram
 from repro.logic.atoms import Atom
 from repro.logic.instance import Instance
 from repro.logic.rules import Rule
-from repro.unification.matching import match_conjunction_into_set
+from repro.unification.solver import solve_match
 
 
 def naive_reference_fixpoint(
@@ -36,7 +36,7 @@ def naive_reference_fixpoint(
         changed = False
         snapshot = tuple(known)
         for rule in program:
-            for match in match_conjunction_into_set(rule.body, snapshot):
+            for match in solve_match(rule.body, snapshot):
                 fact = match.apply_atom(rule.head)
                 if fact not in known:
                     known.add(fact)

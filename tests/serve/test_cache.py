@@ -96,20 +96,40 @@ class TestAnswerCache:
         # generations survive a clear: a put at the old generation stays refused
         assert not cache.put("kb", "q", 0, [["stale"]])
 
-    def test_watch_session_invalidates_on_mutation(self):
+    def test_server_mutations_invalidate_the_kb(self):
+        """Every add and retract entering a KB's op log bumps its generation."""
+        import asyncio
+
         from repro.api import KnowledgeBase
         from repro.logic.parser import parse_facts, parse_program
+        from repro.serve.server import ReasoningServer, ServedKB
 
         program = parse_program(
             "ACEquipment(?x) -> exists ?y. hasTerminal(?x, ?y), ACTerminal(?y)."
         )
         kb = KnowledgeBase.compile(program.tgds)
-        session = kb.session(parse_facts("ACEquipment(sw1)."))
-        cache = AnswerCache(capacity=4)
-        cache.watch_session("kb", session)
-        cache.put("kb", "q", 0, [["a"]])
-        session.add_facts(parse_facts("ACEquipment(sw2)."))
-        assert cache.get("kb", "q") is None
-        assert cache.generation("kb") == 1
-        session.retract_facts(parse_facts("ACEquipment(sw2)."))
-        assert cache.generation("kb") == 2
+
+        async def scenario():
+            server = ReasoningServer(
+                [ServedKB("kb", kb, parse_facts("ACEquipment(sw1)."))]
+            )
+            await server.start()
+            try:
+                client = server.local_client()
+                key = server.stats()["kbs"]["kb"]["share_key"]
+                generations = [server.cache.generation(key)]
+                await client.query("ACEquipment(?x)")
+                await client.add_facts("ACEquipment(sw2).")
+                generations.append(server.cache.generation(key))
+                added = await client.query("ACEquipment(?x)")
+                await client.retract_facts("ACEquipment(sw2).")
+                generations.append(server.cache.generation(key))
+                retracted = await client.query("ACEquipment(?x)")
+                return generations, added, retracted
+            finally:
+                await server.shutdown()
+
+        generations, added, retracted = asyncio.run(scenario())
+        assert generations == [0, 1, 2]
+        assert (added["cached"], added["answers"]) == (False, [["sw1"], ["sw2"]])
+        assert (retracted["cached"], retracted["answers"]) == (False, [["sw1"]])

@@ -4,13 +4,12 @@ from repro.logic.atoms import Predicate
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, FunctionSymbol, Variable
 from repro.unification.matching import (
-    exists_match_into_set,
     is_instance_of,
     is_variant,
     match_atom,
     match_atom_lists,
-    match_conjunction_into_set,
 )
+from repro.unification.solver import first_match, solve_match
 
 R = Predicate("R", 2)
 S = Predicate("S", 1)
@@ -63,17 +62,17 @@ class TestMatchLists:
 class TestMatchIntoSet:
     def test_enumerates_all_homomorphisms(self):
         targets = (R(a, b), R(a, c), S(a))
-        matches = list(match_conjunction_into_set((R(x, y), S(x)), targets))
+        matches = list(solve_match((R(x, y), S(x)), targets))
         images = {m[y] for m in matches}
         assert images == {b, c}
 
     def test_exists_match(self):
         targets = (R(a, b), S(a))
-        assert exists_match_into_set((R(x, y), S(x)), targets) is not None
-        assert exists_match_into_set((R(x, y), S(y)), targets) is None
+        assert first_match((R(x, y), S(x)), targets) is not None
+        assert first_match((R(x, y), S(y)), targets) is None
 
     def test_empty_pattern_matches_trivially(self):
-        assert exists_match_into_set((), (S(a),)) is not None
+        assert first_match((), (S(a),)) is not None
 
 
 class TestVariantsAndInstances:
