@@ -149,11 +149,24 @@ class DatalogEngine:
     ) -> MaterializationResult:
         """Compute the fixpoint of the program on the given instance.
 
+        Encodes the instance into a new store and runs
+        :meth:`materialize_store` on it.
+        """
+        return self.materialize_store(FactStore(instance), max_work)
+
+    def materialize_store(
+        self,
+        store: FactStore,
+        max_work: Optional[int] = None,
+    ) -> MaterializationResult:
+        """Compute the fixpoint of the program on a store, in place.
+
+        The store's rows are the instance; the result holds the same store.
         With ``max_work``, raise :class:`BudgetExceeded` once the call's rule
         applications plus join steps pass it; a call that returns has spent
-        at most ``max_work``.
+        at most ``max_work``.  A call that raises leaves the store holding
+        its rows plus some of their consequences.
         """
-        store = FactStore(instance)
         stats = JoinPlanStats()
 
         # Round 0: a full naive pass so that rules whose body mentions only

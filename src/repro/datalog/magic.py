@@ -71,7 +71,7 @@ Reading the ``magic`` stats counters
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..logic.atoms import Atom, Predicate
 from ..logic.rules import Rule
@@ -79,6 +79,7 @@ from ..logic.terms import Term, Variable
 from .engine import compiled_engine
 from .program import DatalogProgram
 from .query import ConjunctiveQuery, evaluate_query
+from .store import FactStore
 
 #: A demand goal: an (original predicate, adornment string) pair.
 Goal = Tuple[Predicate, str]
@@ -355,43 +356,52 @@ class DemandAnswer:
     report: DemandReport
 
 
+def demand_reads(program: DatalogProgram, query: ConjunctiveQuery) -> FrozenSet[Predicate]:
+    """The predicates whose base facts a demand evaluation of ``query`` reads.
+
+    These are the demanded predicates of the query's magic program plus
+    the query's own predicates; the magic program writes none of them.
+    """
+    transformed = magic_transform(program, query_goals(program, query))
+    return transformed.demanded_predicates.union(atom.predicate for atom in query.body)
+
+
 def demand_answer(
     program: DatalogProgram,
-    base_facts: Sequence[Atom] | FrozenSet[Atom],
+    base: FactStore | Iterable[Atom],
     query: ConjunctiveQuery,
     max_work: Optional[int] = None,
 ) -> DemandAnswer:
     """Answer a query goal-directedly: transform, seed, materialize, evaluate.
 
     Computes the same answers as evaluating the query over the full
-    materialization of ``base_facts`` under ``program`` — the magic-sets
+    materialization of the base facts under ``program`` — the magic-sets
     transformation is answer-preserving — while only deriving facts the
     query's bound arguments demand.  The transformed program is served from
     the transformation cache and the shared engine cache, so repeated
     point queries of the same shape pay only for their (small) fixpoint.
 
-    Only the base facts of the demanded predicates and of the query's own
-    predicates are read; on a lazy source
-    (:class:`repro.kb.format.FactSegments`) the other segments are never
-    decoded.  With ``max_work``, the evaluation raises
+    ``base`` is a store, whose base rows are the base facts, or facts to
+    encode into one.  The evaluation runs on a
+    :meth:`~repro.datalog.store.FactStore.base_copy` of the predicates
+    :func:`demand_reads` names, seeded with the magic facts, and leaves
+    ``base`` unchanged.  With ``max_work``, the evaluation raises
     :class:`~repro.datalog.engine.BudgetExceeded` once it has spent more
     (see ``work`` in the module docstring).
     """
     transformed = magic_transform(program, query_goals(program, query))
     engine = compiled_engine(transformed.program)
-    seeds = transformed.seed_facts(query)
-    read = transformed.demanded_predicates.union(atom.predicate for atom in query.body)
-    if hasattr(base_facts, "facts_for"):
-        base = tuple(base_facts.facts_for(read))
-    else:
-        base = tuple(fact for fact in base_facts if fact.predicate in read)
-    result = engine.materialize(base + seeds, max_work=max_work)
+    if not isinstance(base, FactStore):
+        base = FactStore(base)
+    store = base.base_copy(demand_reads(program, query))
+    store.add_base_facts(transformed.seed_facts(query))
+    result = engine.materialize_store(store, max_work=max_work)
     magic_preds = {
         pred for pred in transformed.magic_predicates.values() if pred is not None
     }
     magic_facts = sum(
         count
-        for pred, count in result.store.counts_by_predicate().items()
+        for pred, count in store.counts_by_predicate().items()
         if pred in magic_preds
     )
     report = DemandReport(
@@ -404,5 +414,5 @@ def demand_answer(
         predicates_touched=len(transformed.demanded_predicates),
         predicates_total=len(program.predicates()),
     )
-    answers = evaluate_query(transformed.rewrite_query(query), result.store)
+    answers = evaluate_query(transformed.rewrite_query(query), store)
     return DemandAnswer(answers=answers, report=report)

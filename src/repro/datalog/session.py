@@ -21,17 +21,23 @@ calls, so
 * ``snapshot()`` returns an immutable :class:`MaterializationResult` over a
   copy of the store, decoupled from later updates.
 
-A session constructed with ``defer_materialization=True`` starts *cold*: it
-holds its base facts but does not materialize until something needs the full
-fixpoint (a materialized answer, a mutation, a snapshot).  The ``auto``
-strategy answers a bound query on a cold session demand-driven, under a work
-budget equal to :attr:`~ReasoningSession.base_fact_count`.  A demand
-evaluation that stays within the budget leaves the session cold; one that
-spends it gives way (a *cutover*): the session warms and answers from the
-materialization.  Loading and indexing the base facts is the floor of any
-materialization, so the budget is about the least a materialization costs,
-and a cutover costs the materialization plus that budget plus at most one
-more round of demand evaluation.
+A session holds its base facts as one encoded
+:class:`~repro.datalog.store.FactStore`.  Constructed with
+``defer_materialization=True``, it starts *cold*: that store holds the base
+facts only, and nothing is materialized until something needs the full
+fixpoint (a materialized answer, a mutation, a snapshot).  Warming loads
+whatever a lazy source has not yet delivered and materializes the store in
+place, so each base fact is encoded once over the session's life.  Demand
+evaluations on a cold session read it and leave it unchanged: each runs on
+a copy of the predicates it reads.  The ``auto`` strategy answers a bound
+query on a cold session demand-driven, under a work budget equal to
+:attr:`~ReasoningSession.base_fact_count`.  A demand evaluation that stays
+within the budget leaves the session cold; one that spends it gives way (a
+*cutover*): the session warms and answers from the materialization.
+Loading and indexing the base facts is the floor of any materialization, so
+the budget is about the least a materialization costs, and a cutover costs
+the materialization plus that budget plus at most one more round of demand
+evaluation.
 
 The budget bounds ``auto`` against materialization only, not against
 demand: a demand evaluation that needs a few units per base fact cuts over
@@ -48,9 +54,9 @@ program.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from ..logic.atoms import Atom
+from ..logic.atoms import Atom, Predicate
 from ..logic.instance import Instance
 from ..logic.rules import Rule
 from ..logic.terms import Term
@@ -64,7 +70,7 @@ from .engine import (
     compiled_engine,
 )
 from .store import FactStore
-from .magic import demand_answer, query_has_bound_arguments
+from .magic import demand_answer, demand_reads, query_has_bound_arguments
 from .program import DatalogProgram
 from .plan import JoinPlanStats
 from .query import ConjunctiveQuery, QueryOptions, evaluate_query
@@ -74,10 +80,10 @@ def _is_lazy_fact_source(instance: object) -> bool:
     """Whether the initial instance loads facts per predicate on demand.
 
     Duck-typed on the :class:`repro.kb.format.FactSegments` surface
-    (``facts_for`` + ``all_facts``) so the session layer stays independent
+    (``facts_for`` + ``predicates``) so the session layer stays independent
     of the persistence layer.
     """
-    return hasattr(instance, "facts_for") and hasattr(instance, "all_facts")
+    return hasattr(instance, "facts_for") and hasattr(instance, "predicates")
 
 
 class _DemandStats(Counters):
@@ -109,15 +115,19 @@ class ReasoningSession:
             # the shared engine cache means every session over the same
             # program reuses one set of compiled join plans
             self._engine = compiled_engine(program)
-        self._store: Optional[FactStore] = None
         # a *lazy* fact source (e.g. repro.kb.format.FactSegments) is kept
         # as-is instead of being flattened: demand answers on a cold session
-        # then pull only the predicates their magic program demands, and the
+        # encode only the predicates their magic program reads, and the
         # remaining segments stay undecoded until the session warms
-        self._lazy_source = instance if _is_lazy_fact_source(instance) else None
-        self._pending: Tuple[Atom, ...] = (
-            () if self._lazy_source is not None else tuple(instance)
+        lazy = _is_lazy_fact_source(instance)
+        self._lazy_source = instance if lazy else None
+        # its predicates not yet encoded, in the source's order
+        self._unloaded: Dict[Predicate, None] = (
+            dict.fromkeys(instance.predicates()) if lazy else {}
         )
+        # the base facts, encoded once; warming materializes this store
+        self._store = FactStore(() if lazy else instance)
+        self._cold = True
         self._rounds = 0
         self._derived = 0
         self._applications = 0
@@ -130,18 +140,23 @@ class ReasoningSession:
         if not defer_materialization:
             self._warm()
 
-    def _warm(self) -> FactStore:
-        """The live store, computing the initial materialization on first use."""
-        store = self._store
-        if store is None:
-            if self._lazy_source is not None:
-                seed: Iterable[Atom] = self._lazy_source.all_facts()
-            else:
-                seed = self._pending
-            initial = self._engine.materialize(seed)
-            store = self._store = initial.store
-            self._pending = ()
+    def _load(self, predicates: AbstractSet[Predicate]) -> None:
+        """Encode the lazy source's facts of ``predicates`` into the base store."""
+        wanted = [predicate for predicate in self._unloaded if predicate in predicates]
+        for predicate in wanted:
+            del self._unloaded[predicate]
+        self._store.add_base_facts(self._lazy_source.facts_for(wanted))
+        if not self._unloaded:
             self._lazy_source = None
+
+    def _warm(self) -> FactStore:
+        """The live store, materializing the base store in place on first use."""
+        store = self._store
+        if self._cold:
+            if self._lazy_source is not None:
+                self._load(self._unloaded.keys())
+            initial = self._engine.materialize_store(store)
+            self._cold = False
             self._rounds += initial.rounds
             self._derived += initial.derived_count
             self._applications += initial.rule_applications
@@ -149,7 +164,7 @@ class ReasoningSession:
             # subtracting derived_count from the store size: the subtraction
             # miscounts duplicated inputs and goes stale once retraction
             # shrinks the store
-            self._added_facts += initial.store.base_count
+            self._added_facts += store.base_count
             self._join_stats.merge(initial.join_stats)
         return store
 
@@ -177,7 +192,7 @@ class ReasoningSession:
         (mutations, snapshots, materialized answers, an ``auto`` cutover,
         the store itself) warms them permanently.
         """
-        return self._store is None
+        return self._cold
 
     @property
     def update_count(self) -> int:
@@ -217,12 +232,10 @@ class ReasoningSession:
     @property
     def base_fact_count(self) -> int:
         """Currently-asserted base facts (survivors of every add/retract)."""
-        if self._store is None:
-            if self._lazy_source is not None:
-                # segments are deduplicated on save, so the declared total
-                # is exact and costs no decoding
-                return len(self._lazy_source)
-            return len(set(self._pending))
+        if self._lazy_source is not None:
+            # segments are deduplicated on save, so the declared total is
+            # exact and costs no decoding
+            return len(self._lazy_source)
         return self._store.base_count
 
     @property
@@ -317,18 +330,15 @@ class ReasoningSession:
             return "materialized"
         return strategy
 
-    def _current_base_facts(self) -> "Iterable[Atom]":
-        """The currently-asserted base facts, without warming a cold session.
+    def _demand_base(self, query: ConjunctiveQuery) -> FactStore:
+        """The store whose base rows a demand evaluation of ``query`` reads.
 
-        On a cold session over a lazy source this returns the source itself,
-        so the demand path (:func:`repro.datalog.magic.demand_answer`) can
-        decode only the predicates its magic program and query read.
+        That is the session's store, warm or cold.  On a cold session over a
+        lazy source, the predicates the evaluation reads are encoded first.
         """
-        if self._store is None:
-            if self._lazy_source is not None:
-                return self._lazy_source
-            return self._pending
-        return tuple(self._store.base_facts())
+        if self._lazy_source is not None:
+            self._load(demand_reads(self._engine.program, query))
+        return self._store
 
     def _evaluate(
         self, query: ConjunctiveQuery, options: Optional[QueryOptions]
@@ -345,7 +355,7 @@ class ReasoningSession:
         try:
             result = demand_answer(
                 self._engine.program,
-                self._current_base_facts(),
+                self._demand_base(query),
                 query,
                 max_work=self.base_fact_count if budgeted else None,
             )
@@ -444,15 +454,10 @@ class ReasoningSession:
         )
 
     def __repr__(self) -> str:
-        if self._store is None:
-            pending = (
-                len(self._lazy_source)
-                if self._lazy_source is not None
-                else len(self._pending)
-            )
+        if self._cold:
             return (
                 f"ReasoningSession({len(self.program)} rules, cold, "
-                f"{pending} pending base facts)"
+                f"{self.base_fact_count} pending base facts)"
             )
         return (
             f"ReasoningSession({len(self.program)} rules, {len(self._store)} facts, "

@@ -17,25 +17,32 @@ ID-encoding invariants
 
 * **IDs are store-local.**  Each :class:`FactStore` owns one
   :class:`TermTable`; an ID is meaningful only against the table that
-  issued it.  Rows never travel between stores un-decoded (``copy()``
-  clones the table precisely so the clone's rows stay valid).
+  issued it.  Rows never travel between stores un-decoded (``copy()`` and
+  ``base_copy()`` clone the table precisely so the clone's rows stay valid).
 * **IDs are dense and never reused.**  The table is append-only: the
   ``n``-th distinct term encoded gets ID ``n``, and removing facts never
   removes IDs: a removed row still decodes correctly, and adding its fact
   back reuses the same IDs.
+* **Facts enter row space once, in bulk.**  The constructor and
+  :meth:`FactStore.add_base_facts` encode a whole batch of facts, one
+  ``map`` over the table's ID dict per fact, and add each relation's rows
+  as one set; :meth:`FactStore.encode_fact` (``extend``'s boundary)
+  encodes one fact the same way.  Nothing counts terms as they cross.
 * **Decode only at boundaries.**  Everything between "facts enter the
   store" and "answers/materializations leave it" — semi-naive deltas,
   hash-join probes, head projection, retraction bookkeeping — stays in row
   space.  Decoding back to interned :class:`~repro.logic.atoms.Atom`
   objects happens only in the answer projection and the whole-store
   views (``facts()``, ``base_facts()``, iteration).
-* **Only ground terms are encoded.**  Variables never enter the table;
-  non-ground facts are rejected exactly as the object-encoded store did.
+* **Only ground terms are encoded.**  Variables never enter the table:
+  issuing an ID rejects a non-ground term, so a non-ground fact raises
+  ``ValueError`` exactly as the object-encoded store did.
 
 The base/derived bookkeeping contract (retraction support) is unchanged
 from the previous object-encoded store: base facts are the caller-asserted EDB
 (``base_facts() ⊆ facts()``), a fact can be base *and* derivable, and
-removing a fact discards its base mark.
+removing a fact discards its base mark.  Base marks are kept per
+predicate, as a set of rows beside each relation.
 """
 
 from __future__ import annotations
@@ -71,20 +78,38 @@ def row_key(row: Row, positions: Tuple[int, ...]) -> object:
     return tuple(row[position] for position in positions)
 
 
+class _IdMap(dict):
+    """A term -> ID dict whose missing terms get the next dense ID on read.
+
+    Issuing an ID is where a non-ground term is rejected, so the check
+    runs once per distinct term rather than once per fact.
+    """
+
+    __slots__ = ("terms",)
+
+    def __missing__(self, term: Term) -> int:
+        if not term.is_ground:
+            raise ValueError(f"fact stores hold ground facts only, got {term}")
+        term_id = self[term] = len(self.terms)
+        self.terms.append(term)
+        return term_id
+
+
 class TermTable:
     """An append-only bidirectional term ↔ dense-int-ID map (store-local).
 
-    ``encode_calls``/``decode_calls`` count boundary crossings for the perf
-    harness's ``fact_store`` stats block; they are bookkeeping, not caches.
+    Encoding is one dict read per term: :meth:`encode_args` maps a whole
+    argument tuple through the ID dict, whose ``__missing__`` issues the
+    next ID on first sight, and :meth:`lookup` never issues one.  The table
+    keeps no counters; what crosses the boundary is not bookkept.
     """
 
-    __slots__ = ("_ids", "_terms", "encode_calls", "decode_calls")
+    __slots__ = ("_ids", "_terms")
 
     def __init__(self) -> None:
-        self._ids: Dict[Term, int] = {}
         self._terms: List[Term] = []
-        self.encode_calls = 0
-        self.decode_calls = 0
+        self._ids = _IdMap()
+        self._ids.terms = self._terms
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -94,13 +119,11 @@ class TermTable:
 
     def encode(self, term: Term) -> int:
         """The ID of a ground term, issuing a fresh one on first sight."""
-        self.encode_calls += 1
-        term_id = self._ids.get(term)
-        if term_id is None:
-            term_id = len(self._terms)
-            self._ids[term] = term_id
-            self._terms.append(term)
-        return term_id
+        return self._ids[term]
+
+    def encode_args(self, args: Sequence[Term]) -> Row:
+        """The row of an argument tuple of ground terms, issuing IDs as needed."""
+        return tuple(map(self._ids.__getitem__, args))
 
     def lookup(self, term: Term) -> Optional[int]:
         """The ID of a term, or ``None`` — never issues a new ID.
@@ -110,26 +133,17 @@ class TermTable:
         """
         return self._ids.get(term)
 
-    def decode(self, term_id: int) -> Term:
-        self.decode_calls += 1
-        return self._terms[term_id]
-
     def decode_args(self, row: Sequence[int]) -> Tuple[Term, ...]:
-        self.decode_calls += len(row)
-        terms = self._terms
-        return tuple(terms[term_id] for term_id in row)
+        return tuple(map(self._terms.__getitem__, row))
 
     def decode_column(self, column: Sequence[int]) -> List[Term]:
-        self.decode_calls += len(column)
-        terms = self._terms
-        return [terms[term_id] for term_id in column]
+        return list(map(self._terms.__getitem__, column))
 
     def copy(self) -> "TermTable":
         clone = TermTable.__new__(TermTable)
-        clone._ids = dict(self._ids)
         clone._terms = list(self._terms)
-        clone.encode_calls = self.encode_calls
-        clone.decode_calls = self.decode_calls
+        clone._ids = _IdMap(self._ids)
+        clone._ids.terms = clone._terms
         return clone
 
 
@@ -139,10 +153,11 @@ class FactStore:
     The **row layer** (``add_row``/``remove_row``/``relation_rows``/
     ``key_index``/``mark_base_row``…) is what the engine and the plan
     executor use; nothing there touches a term object.  Atoms cross the
-    **boundary** in a few places only: the constructor (whose facts are
-    all base), ``encode_fact``/``find_fact``, ``in``, and the whole-store
-    views ``facts()``, ``base_facts()`` and iteration.  A term-space fact
-    set is an :class:`~repro.logic.instance.Instance`.
+    **boundary** in a few places only: the constructor and
+    ``add_base_facts`` (whose facts are all base, encoded in bulk),
+    ``encode_fact``/``find_fact``, ``in``, and the whole-store views
+    ``facts()``, ``base_facts()`` and iteration.  A term-space fact set is
+    an :class:`~repro.logic.instance.Instance`.
 
     See the module docstring for the ID-encoding invariants and the
     base/derived (retraction) bookkeeping contract.
@@ -158,23 +173,50 @@ class FactStore:
         self._key_indexes: Dict[
             Predicate, Dict[Tuple[int, ...], Dict[object, List[Row]]]
         ] = {}
-        # (predicate, row) pairs asserted by the caller rather than inferred
-        self._base: Set[Tuple[Predicate, Row]] = set()
+        # predicate -> its rows asserted by the caller rather than inferred
+        self._base: Dict[Predicate, Set[Row]] = {}
         self._size = 0
-        for fact in facts:
-            predicate, row = self.encode_fact(fact)
-            self.add_row(predicate, row)
-            self._base.add((predicate, row))
+        self.add_base_facts(facts)
 
     # ------------------------------------------------------------------
     # encoding boundary
     # ------------------------------------------------------------------
+    def add_base_facts(self, facts: Iterable[Atom]) -> None:
+        """Encode ground facts in bulk and add them as base facts.
+
+        One pass encodes every fact into its relation's set of new rows.  A
+        relation the store holds no rows of (and keeps no index for) takes
+        that set as it is; any other gets its rows through :meth:`add_row`.
+        Each relation's base marks grow by the same set, so a fact that was
+        derived becomes base.
+        """
+        encode = self.terms._ids.__getitem__
+        batches: Dict[Predicate, Set[Row]] = {}
+        predicate: Optional[Predicate] = None
+        batch: Set[Row] = set()
+        for fact in facts:
+            # facts mostly arrive grouped by predicate: find the batch only
+            # when the predicate changes
+            if fact.predicate is not predicate:
+                predicate = fact.predicate
+                batch = batches.setdefault(predicate, set())
+            batch.add(tuple(map(encode, fact.args)))
+        for predicate, batch in batches.items():
+            if self._rows.get(predicate) or self._key_indexes.get(predicate):
+                for row in batch:
+                    self.add_row(predicate, row)
+            else:
+                self._rows[predicate] = batch
+                self._size += len(batch)
+            marks = self._base.get(predicate)
+            if marks is None:
+                self._base[predicate] = set(batch)
+            else:
+                marks.update(batch)
+
     def encode_fact(self, fact: Atom) -> Tuple[Predicate, Row]:
         """Encode a ground fact to ``(predicate, row)``, issuing IDs as needed."""
-        if not fact.is_ground:
-            raise ValueError(f"fact stores hold ground facts only, got {fact}")
-        encode = self.terms.encode
-        return fact.predicate, tuple(encode(term) for term in fact.args)
+        return fact.predicate, self.terms.encode_args(fact.args)
 
     def find_fact(self, fact: Atom) -> Optional[Tuple[Predicate, Row]]:
         """``(predicate, row)`` of a *stored* fact, or ``None`` — no new IDs."""
@@ -236,7 +278,9 @@ class FactStore:
                         pass
                     if not bucket:
                         del index[key]
-        self._base.discard((predicate, row))
+        marks = self._base.get(predicate)
+        if marks:
+            marks.discard(row)
         self._size -= 1
         return True
 
@@ -257,21 +301,23 @@ class FactStore:
             raise KeyError(
                 f"cannot mark a row not in the store as base: {predicate.name}{row}"
             )
-        pair = (predicate, row)
-        if pair in self._base:
+        marks = self._base.get(predicate)
+        if marks is None:
+            marks = self._base[predicate] = set()
+        elif row in marks:
             return False
-        self._base.add(pair)
+        marks.add(row)
         return True
 
     def unmark_base_row(self, predicate: Predicate, row: Row) -> bool:
-        pair = (predicate, row)
-        if pair in self._base:
-            self._base.discard(pair)
+        marks = self._base.get(predicate)
+        if marks is not None and row in marks:
+            marks.discard(row)
             return True
         return False
 
     def is_base_row(self, predicate: Predicate, row: Row) -> bool:
-        return (predicate, row) in self._base
+        return row in self._base.get(predicate, ())
 
     # ------------------------------------------------------------------
     # lookup
@@ -293,13 +339,15 @@ class FactStore:
 
     @property
     def base_count(self) -> int:
-        return len(self._base)
+        return sum(map(len, self._base.values()))
 
     def base_facts(self) -> FrozenSet[Atom]:
         """The asserted (EDB) facts — what a from-scratch rebuild would start from."""
         decode = self.terms.decode_args
         return frozenset(
-            Atom(predicate, decode(row)) for predicate, row in self._base
+            Atom(predicate, decode(row))
+            for predicate, rows in self._base.items()
+            for row in rows
         )
 
     def count(self, predicate: Predicate) -> int:
@@ -347,8 +395,26 @@ class FactStore:
         clone = FactStore()
         clone.terms = self.terms.copy()
         clone._rows = {pred: set(rel) for pred, rel in self._rows.items()}
-        clone._base = set(self._base)
+        clone._base = {pred: set(rows) for pred, rows in self._base.items()}
         clone._size = self._size
+        return clone
+
+    def base_copy(self, predicates: Iterable[Predicate]) -> "FactStore":
+        """A new store of this store's base rows of ``predicates``, all base.
+
+        The term table is copied, so the rows keep their IDs and the clone
+        issues new ones without touching this store.  Demand evaluation
+        runs on such a copy: it reads the base facts of the predicates it
+        names and writes only predicates of its own.
+        """
+        clone = FactStore()
+        clone.terms = self.terms.copy()
+        for predicate in predicates:
+            marks = self._base.get(predicate)
+            if marks:
+                clone._rows[predicate] = set(marks)
+                clone._base[predicate] = set(marks)
+                clone._size += len(marks)
         return clone
 
     def stats(self) -> Dict[str, object]:
@@ -374,6 +440,4 @@ class FactStore:
             "key_indexes": index_count,
             "index_entries": index_entries,
             "index_memory_bytes": index_entries * 8 + index_keys * 64,
-            "encode_calls": self.terms.encode_calls,
-            "decode_calls": self.terms.decode_calls,
         }

@@ -168,10 +168,17 @@ def write_kb_file(
     rewriting: RewritingResult,
     facts: Optional[Iterable[Atom]] = None,
 ) -> Path:
-    """Serialize a compiled knowledge base; returns the path written."""
+    """Serialize a compiled knowledge base; returns the path written.
+
+    The JSON is compact, one line with no spaces after separators: an
+    indented layout is about 3.5x the size and forces the interpreter's
+    pure-Python encoder.  The loader reads either layout.
+    """
     target = Path(path)
     payload = knowledge_base_payload(tgds, rewriting, facts)
-    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    target.write_text(
+        json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8"
+    )
     return target
 
 

@@ -2,10 +2,35 @@
 
 from __future__ import annotations
 
+import contextlib
+import warnings
+
 import pytest
 
 from repro.logic import Atom, Constant, Predicate, Variable, parse_program
 from repro.workloads.families import cim_example, running_example
+
+
+def pytest_runtest_makereport(item, call):
+    """Load hypothesis' patch writer after a failing ``@given`` call.
+
+    On a failure, hypothesis' pytest plugin imports
+    ``hypothesis.extra._patching`` while it builds the teardown report.
+    That module imports libcst, and libcst's import raises a third-party
+    ``DeprecationWarning`` (``mypy_extensions.TypedDict is deprecated``).
+    Under ``-W error::DeprecationWarning`` the warning becomes an
+    INTERNALERROR that ends the session instead of reporting the failure.
+    Importing the module here first, with deprecations ignored for that
+    import alone, keeps every other ``DeprecationWarning`` an error.
+    """
+    if (
+        call.when == "call"
+        and call.excinfo is not None
+        and hasattr(getattr(item, "obj", None), "hypothesis")
+    ):
+        with warnings.catch_warnings(), contextlib.suppress(ImportError):
+            warnings.simplefilter("ignore", DeprecationWarning)
+            import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -549,3 +549,89 @@ class TestAutoCutover:
         assert session.is_cold
         assert session.demand_stats["cutovers"] == 0
         assert answers == _closure_session(self.DENSE).answer(query)
+
+
+class TestEncodedBase:
+    """A cold session encodes its base facts once, into one store.
+
+    Demand evaluations run on copies of that store and leave it as it was;
+    warming, by a cutover or otherwise, materializes it in place.
+    """
+
+    DENSE = TestAutoCutover.DENSE
+
+    def test_a_cutover_encodes_its_instance_once(self, monkeypatch):
+        from collections import Counter
+
+        from repro.datalog.store import FactStore
+
+        encoded = Counter()
+        add_base_facts = FactStore.add_base_facts
+        encode_fact = FactStore.encode_fact
+
+        def spy_add_base_facts(store, facts):
+            facts = list(facts)
+            encoded.update(facts)
+            return add_base_facts(store, facts)
+
+        def spy_encode_fact(store, fact):
+            encoded[fact] += 1
+            return encode_fact(store, fact)
+
+        monkeypatch.setattr(FactStore, "add_base_facts", spy_add_base_facts)
+        monkeypatch.setattr(FactStore, "encode_fact", spy_encode_fact)
+        session = _cold_session(self.DENSE)
+        answers = session.answer(parse_query("Reach(?x, n0)"))
+        assert session.demand_stats["cutovers"] == 1
+        assert len(answers) == 6
+        facts = parse_facts(self.DENSE)
+        assert {fact: encoded[fact] for fact in facts} == dict.fromkeys(facts, 1)
+
+    def test_demand_answers_leave_the_cold_base_unchanged(self, monkeypatch):
+        from repro.datalog import QueryOptions
+        from repro.datalog import session as session_module
+
+        bases = []
+        demand_answer = session_module.demand_answer
+
+        def spy(program, base, query, max_work=None):
+            bases.append(base)
+            return demand_answer(program, base, query, max_work=max_work)
+
+        monkeypatch.setattr(session_module, "demand_answer", spy)
+        text = "Edge(a, b). Edge(b, c). " + UNRELATED
+        facts = frozenset(parse_facts(text))
+        constants = {term for fact in facts for term in fact.args}
+        session = _cold_session(text)
+        demand = QueryOptions(strategy="demand")
+        session.answer(parse_query("Reach(a, ?y)"))  # auto, within budget
+        for query in ("Reach(b, ?y)", "Reach(?x, c)", "Reach(zz, ?y)", "Reach(?x, ?y)"):
+            session.answer(parse_query(query), options=demand)
+        assert session.is_cold
+        assert session.demand_stats["queries"] == 5
+        base = bases[0]
+        assert all(other is base for other in bases)
+        # the base store holds the instance and nothing demand derived,
+        # seeded or indexed; the unknown constant zz got no ID in it
+        assert base.facts() == base.base_facts() == facts
+        stats = base.stats()
+        assert stats["rows"] == len(facts)
+        assert stats["term_table_size"] == len(constants)
+        assert stats["key_indexes"] == 0
+
+    def test_after_a_cutover_the_session_holds_the_materialization(self):
+        program = DatalogProgram(parse_program(CLOSURE).tgds)
+        facts = parse_facts(self.DENSE)
+        session = _cold_session(self.DENSE)
+        session.answer(parse_query("Reach(?x, n0)"))
+        assert session.demand_stats["cutovers"] == 1
+        expected = materialize(program, facts)
+        assert session.facts() == expected.facts()
+        assert session.store.base_facts() == expected.store.base_facts()
+        assert session.base_fact_count == expected.store.base_count
+        for key in ("rows", "term_table_size"):
+            assert session.store.stats()[key] == expected.store.stats()[key]
+        snapshot = session.snapshot()
+        assert snapshot.rounds == expected.rounds
+        assert snapshot.derived_count == expected.derived_count
+        assert snapshot.rule_applications == expected.rule_applications

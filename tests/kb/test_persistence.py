@@ -106,6 +106,21 @@ class TestSaveLoadRoundTrip:
         assert payload["format"] == KB_FORMAT_VERSION
         assert payload["sigma_fingerprint"] == kb.fingerprint
 
+    def test_saved_file_is_compact_and_an_indented_one_loads(self, tmp_path):
+        program = parse_program(CIM)
+        kb = KnowledgeBase.compile(program.tgds)
+        facts = tuple(parse_program(CIM_FACTS).instance)
+        path = kb.save(tmp_path / "kb.json", facts=facts)
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert text == json.dumps(payload, separators=(",", ":")) + "\n"
+        # files written with the earlier indented layout load the same
+        indented = tmp_path / "indented.kb.json"
+        indented.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        loaded = KnowledgeBase.load(indented)
+        assert set(loaded.rewriting.datalog_rules) == set(kb.rewriting.datalog_rules)
+        assert set(loaded.fact_segments) == set(facts)
+
 
 class TestFactSegments:
     #: CIM plus a disconnected predicate: demand for Equipment-side queries

@@ -180,8 +180,6 @@ class TestReadSurface:
             "key_indexes",
             "index_entries",
             "index_memory_bytes",
-            "encode_calls",
-            "decode_calls",
         }
         assert set(AnswerCache().stats()) == CACHE_KEYS
         cold = kb.session(facts, defer_materialization=True)
