@@ -15,7 +15,7 @@ output fact back to the vertex where the loop started.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..logic.atoms import Atom
 from ..logic.instance import fact_guarded_by_set
@@ -36,10 +36,6 @@ class ChaseStepRecord:
     created_vertex_id: Optional[int] = None
     propagated: Tuple[Atom, ...] = ()
     target_vertex_id: Optional[int] = None
-
-    @property
-    def is_chase_step(self) -> bool:
-        return self.kind in {"full", "non_full"}
 
     @property
     def is_propagation(self) -> bool:

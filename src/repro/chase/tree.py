@@ -19,8 +19,8 @@ trees exactly as the paper's figures do.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..logic.atoms import Atom
 from ..logic.instance import fact_guarded_by_set, guarded_subset
@@ -108,9 +108,6 @@ class ChaseTree:
 
     def parent(self, vertex_id: int) -> Optional[int]:
         return self._vertices[vertex_id].parent_id
-
-    def contains_vertex(self, vertex_id: int) -> bool:
-        return vertex_id in self._vertices
 
     def all_facts(self) -> FrozenSet[Atom]:
         result = set()

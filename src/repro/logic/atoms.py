@@ -18,9 +18,9 @@ occurrence.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, Sequence, Tuple
 
-from .interning import counter, maybe_evict, register_cache_clearer
+from .interning import Interned
 from .terms import (
     Constant,
     FunctionSymbol,
@@ -31,40 +31,24 @@ from .terms import (
 )
 
 
-class Predicate:
+class Predicate(Interned, kind="predicate", tag="pred"):
     """A relation symbol with a fixed arity."""
 
-    __slots__ = ("name", "arity", "_hash")
-
-    _interned: Dict[Tuple[str, int], "Predicate"] = {}
-    _counter = counter("predicate")
+    __slots__ = ("name", "arity")
 
     def __new__(cls, name: str, arity: int) -> "Predicate":
         key = (name, arity)
         interned = cls._interned.get(key)
-        if interned is not None:
-            cls._counter.hits += 1
-            return interned
+        if interned is None:
+            return cls._intern(key)
+        cls._counter.hits += 1
+        return interned
+
+    def _setup(self, name: str, arity: int) -> None:
         if arity < 0:
             raise ValueError("predicate arity must be nonnegative")
-        cls._counter.misses += 1
-        maybe_evict(cls._interned)
-        self = super().__new__(cls)
         self.name = name
         self.arity = arity
-        self._hash = hash(("pred", name, arity))
-        cls._interned[key] = self
-        return self
-
-    def __reduce__(self):
-        return (Predicate, (self.name, self.arity))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, Predicate)
-            and self.name == other.name
-            and self.arity == other.arity
-        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -79,7 +63,7 @@ class Predicate:
         return f"{self.name}/{self.arity}"
 
 
-class Atom:
+class Atom(Interned, kind="atom", tag="atom"):
     """An atom ``R(t1, ..., tn)``.
 
     Atoms are immutable, hashable, and interned.  The same class represents
@@ -89,7 +73,6 @@ class Atom:
     __slots__ = (
         "predicate",
         "args",
-        "_hash",
         "_variables",
         "_varset",
         "_ground",
@@ -101,27 +84,22 @@ class Atom:
         "_str",
     )
 
-    _interned: Dict[Tuple[Predicate, Tuple[Term, ...]], "Atom"] = {}
-    _counter = counter("atom")
-
     def __new__(cls, predicate: Predicate, args: Sequence[Term]) -> "Atom":
-        args = tuple(args)
-        key = (predicate, args)
+        key = (predicate, tuple(args))
         interned = cls._interned.get(key)
-        if interned is not None:
-            cls._counter.hits += 1
-            return interned
+        if interned is None:
+            return cls._intern(key)
+        cls._counter.hits += 1
+        return interned
+
+    def _setup(self, predicate: Predicate, args: Tuple[Term, ...]) -> None:
         if len(args) != predicate.arity:
             raise ValueError(
                 f"predicate {predicate.name} has arity {predicate.arity}, "
                 f"got {len(args)} arguments"
             )
-        cls._counter.misses += 1
-        maybe_evict(cls._interned)
-        self = super().__new__(cls)
         self.predicate = predicate
         self.args = args
-        self._hash = hash(("atom", predicate, args))
         variables = tuple(var for arg in args for var in arg.variables())
         self._variables = variables
         self._varset = frozenset(variables)
@@ -142,11 +120,9 @@ class Atom:
         # their facts on the rendered string, so each distinct fact must be
         # rendered at most once per process, not once per visit
         self._str = None
-        cls._interned[key] = self
-        return self
 
-    def __reduce__(self):
-        return (Atom, (self.predicate, self.args))
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     # classification
@@ -237,17 +213,6 @@ class Atom:
     # ------------------------------------------------------------------
     # dunder
     # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, Atom)
-            and self._hash == other._hash
-            and self.predicate == other.predicate
-            and self.args == other.args
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Atom({self.predicate.name!r}, {self.args!r})"
 
@@ -261,10 +226,6 @@ class Atom:
                 cached = f"{self.predicate.name}({inner})"
             self._str = cached
         return cached
-
-
-register_cache_clearer(Predicate._interned.clear)
-register_cache_clearer(Atom._interned.clear)
 
 
 def atom_variables(atoms: Iterable[Atom]) -> Tuple[Variable, ...]:

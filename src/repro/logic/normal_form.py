@@ -18,7 +18,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .atoms import Atom
 from .rules import Rule
-from .substitution import Substitution
 from .terms import Constant, FunctionTerm, Term, Variable
 from .tgd import TGD
 
@@ -160,8 +159,3 @@ def deduplicate_normalized(items: Iterable) -> Tuple:
             seen[key] = None
             result.append(item)
     return tuple(result)
-
-
-def rename_for_freshness(obj, suffix: str):
-    """Rename a TGD or rule apart with the given suffix (premise renaming)."""
-    return obj.rename_apart(suffix)

@@ -16,12 +16,12 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .atoms import Atom, atom_constants, atom_variables
-from .interning import counter, maybe_evict, register_cache_clearer
+from .interning import Interned
 from .substitution import Substitution
 from .terms import Constant, FunctionTerm, Variable
 
 
-class Rule:
+class Rule(Interned, kind="rule", tag="rule"):
     """A rule ``body → head`` with a single head atom and no existentials.
 
     Rules are interned like TGDs: re-deriving an already-seen rule returns
@@ -32,7 +32,6 @@ class Rule:
     __slots__ = (
         "body",
         "head",
-        "_hash",
         "_variables",
         "_guards",
         "_renamed",
@@ -43,33 +42,17 @@ class Rule:
         "_canonical_form",
     )
 
-    _interned: dict = {}
-    _counter = counter("rule")
-
     def __new__(cls, body: Sequence[Atom], head: Atom) -> "Rule":
         key = (tuple(body), head)
         interned = cls._interned.get(key)
-        if interned is not None:
-            cls._counter.hits += 1
-            return interned
-        self = super().__new__(cls)
-        self._init_structure(key[0], head)
-        cls._counter.misses += 1
-        maybe_evict(cls._interned)
-        cls._interned[key] = self
-        return self
+        if interned is None:
+            return cls._intern(key)
+        cls._counter.hits += 1
+        return interned
 
-    def __init__(self, body: Sequence[Atom], head: Atom) -> None:
-        # construction happens entirely in __new__ (interned); nothing to do
-        pass
-
-    def __reduce__(self):
-        return (Rule, (self.body, self.head))
-
-    def _init_structure(self, body: Tuple[Atom, ...], head: Atom) -> None:
+    def _setup(self, body: Tuple[Atom, ...], head: Atom) -> None:
         self.body = body
         self.head = head
-        self._hash = hash(("rule", body, head))
         variables = set(atom_variables(body))
         head_vars = head.variable_set()
         if not head_vars <= variables:
@@ -87,6 +70,9 @@ class Rule:
         self._skolem_free = self._body_skolem_free and head.is_function_free
         #: set by normalize_rule: this rule's canonical-variable form
         self._canonical_form: "Optional[Rule]" = None
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     # structure
@@ -197,26 +183,12 @@ class Rule:
     # ------------------------------------------------------------------
     # dunder
     # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, Rule)
-            and self._hash == other._hash
-            and self.body == other.body
-            and self.head == other.head
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Rule({self.body!r}, {self.head!r})"
 
     def __str__(self) -> str:
         body = " & ".join(str(atom) for atom in self.body) if self.body else "true"
         return f"{body} -> {self.head}"
-
-
-register_cache_clearer(Rule._interned.clear)
 
 
 def datalog_rules(rules: Iterable[Rule]) -> Tuple[Rule, ...]:

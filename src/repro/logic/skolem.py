@@ -12,9 +12,8 @@ distinct symbols.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from .atoms import Atom
 from .rules import Rule
 from .substitution import Substitution
 from .terms import FunctionSymbol, FunctionTerm, Variable
@@ -78,8 +77,3 @@ def skolemize(
 def count_existentials(tgds: Iterable[TGD]) -> int:
     """Total number of existential quantifiers across the TGDs (``e`` in Thms 5.13/5.19)."""
     return sum(len(tgd.existential_variables) for tgd in tgds)
-
-
-def functional_atoms(atoms: Sequence[Atom]) -> Tuple[Atom, ...]:
-    """Atoms containing at least one functional term."""
-    return tuple(atom for atom in atoms if not atom.is_function_free)

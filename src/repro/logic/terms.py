@@ -6,45 +6,50 @@ are encoded with Skolem symbols (Section 3, "Encoding Existentials by
 Function Symbols"), terms may additionally be *functional terms* built from
 Skolem function symbols.
 
-All term classes are immutable, hashable, and *interned* (hash-consed):
-constructing a term that was constructed before returns the identical
-object, so structural equality coincides with identity and hashes are
-computed once per distinct term.  Saturation, which hashes and compares
-atoms and rules constantly, never pays those costs repeatedly.
+All term classes and :class:`FunctionSymbol` are immutable and *interned*
+through :class:`~repro.logic.interning.Interned`: constructing a term that
+was constructed before returns the identical object, so structural equality
+coincides with identity and hashes are computed once per distinct term.
+:class:`Term` gives the symbol collectors their empty defaults, so each
+atomic term overrides only the collector that yields itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple
 
-from .interning import counter, maybe_evict, register_cache_clearer
+from .interning import Interned
 
 
 class Term:
-    """Abstract base class of all terms."""
+    """Base class of all terms.
+
+    The defaults describe a ground term that contains no symbols; each
+    subclass overrides what it contains.
+    """
 
     __slots__ = ()
 
     @property
     def is_ground(self) -> bool:
         """Return ``True`` if the term contains no variables."""
-        raise NotImplementedError
+        return True
 
     def variables(self) -> Iterator["Variable"]:
         """Yield the variables occurring in this term."""
-        raise NotImplementedError
+        return iter(())
 
     def constants(self) -> Iterator["Constant"]:
         """Yield the constants occurring in this term."""
-        raise NotImplementedError
+        return iter(())
 
     def nulls(self) -> Iterator["Null"]:
         """Yield the labeled nulls occurring in this term."""
-        raise NotImplementedError
+        return iter(())
 
     def function_symbols(self) -> Iterator["FunctionSymbol"]:
         """Yield the function symbols occurring in this term."""
-        raise NotImplementedError
+        return iter(())
 
     @property
     def depth(self) -> int:
@@ -52,53 +57,27 @@ class Term:
         return 0
 
 
-class Constant(Term):
+class Constant(Term, Interned, kind="constant", tag="const"):
     """A constant symbol, e.g. ``a`` or ``sw1``."""
 
-    __slots__ = ("name", "_hash")
-
-    _interned: Dict[str, "Constant"] = {}
-    _counter = counter("constant")
+    __slots__ = ("name",)
 
     def __new__(cls, name: str) -> "Constant":
-        interned = cls._interned.get(name)
-        if interned is not None:
-            cls._counter.hits += 1
-            return interned
-        cls._counter.misses += 1
-        maybe_evict(cls._interned)
-        self = super().__new__(cls)
+        key = (name,)
+        interned = cls._interned.get(key)
+        if interned is None:
+            return cls._intern(key)
+        cls._counter.hits += 1
+        return interned
+
+    def _setup(self, name: str) -> None:
         self.name = name
-        self._hash = hash(("const", name))
-        cls._interned[name] = self
-        return self
-
-    def __reduce__(self):
-        return (Constant, (self.name,))
-
-    @property
-    def is_ground(self) -> bool:
-        return True
-
-    def variables(self) -> Iterator["Variable"]:
-        return iter(())
-
-    def constants(self) -> Iterator["Constant"]:
-        yield self
-
-    def nulls(self) -> Iterator["Null"]:
-        return iter(())
-
-    def function_symbols(self) -> Iterator["FunctionSymbol"]:
-        return iter(())
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, Constant) and self.name == other.name
-        )
 
     def __hash__(self) -> int:
         return self._hash
+
+    def constants(self) -> Iterator["Constant"]:
+        yield self
 
     def __repr__(self) -> str:
         return f"Constant({self.name!r})"
@@ -107,29 +86,24 @@ class Constant(Term):
         return self.name
 
 
-class Variable(Term):
+class Variable(Term, Interned, kind="variable", tag="var"):
     """A first-order variable, e.g. ``x1`` or ``y``."""
 
-    __slots__ = ("name", "_hash")
-
-    _interned: Dict[str, "Variable"] = {}
-    _counter = counter("variable")
+    __slots__ = ("name",)
 
     def __new__(cls, name: str) -> "Variable":
-        interned = cls._interned.get(name)
-        if interned is not None:
-            cls._counter.hits += 1
-            return interned
-        cls._counter.misses += 1
-        maybe_evict(cls._interned)
-        self = super().__new__(cls)
-        self.name = name
-        self._hash = hash(("var", name))
-        cls._interned[name] = self
-        return self
+        key = (name,)
+        interned = cls._interned.get(key)
+        if interned is None:
+            return cls._intern(key)
+        cls._counter.hits += 1
+        return interned
 
-    def __reduce__(self):
-        return (Variable, (self.name,))
+    def _setup(self, name: str) -> None:
+        self.name = name
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_ground(self) -> bool:
@@ -138,23 +112,6 @@ class Variable(Term):
     def variables(self) -> Iterator["Variable"]:
         yield self
 
-    def constants(self) -> Iterator["Constant"]:
-        return iter(())
-
-    def nulls(self) -> Iterator["Null"]:
-        return iter(())
-
-    def function_symbols(self) -> Iterator["FunctionSymbol"]:
-        return iter(())
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, Variable) and self.name == other.name
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
 
@@ -162,53 +119,27 @@ class Variable(Term):
         return f"?{self.name}"
 
 
-class Null(Term):
+class Null(Term, Interned, kind="null", tag="null"):
     """A labeled null introduced by a chase step with a non-full GTGD."""
 
-    __slots__ = ("label", "_hash")
-
-    _interned: Dict[int, "Null"] = {}
-    _counter = counter("null")
+    __slots__ = ("label",)
 
     def __new__(cls, label: int) -> "Null":
-        interned = cls._interned.get(label)
-        if interned is not None:
-            cls._counter.hits += 1
-            return interned
-        cls._counter.misses += 1
-        maybe_evict(cls._interned)
-        self = super().__new__(cls)
+        key = (label,)
+        interned = cls._interned.get(key)
+        if interned is None:
+            return cls._intern(key)
+        cls._counter.hits += 1
+        return interned
+
+    def _setup(self, label: int) -> None:
         self.label = label
-        self._hash = hash(("null", label))
-        cls._interned[label] = self
-        return self
-
-    def __reduce__(self):
-        return (Null, (self.label,))
-
-    @property
-    def is_ground(self) -> bool:
-        return True
-
-    def variables(self) -> Iterator["Variable"]:
-        return iter(())
-
-    def constants(self) -> Iterator["Constant"]:
-        return iter(())
-
-    def nulls(self) -> Iterator["Null"]:
-        yield self
-
-    def function_symbols(self) -> Iterator["FunctionSymbol"]:
-        return iter(())
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, Null) and self.label == other.label
-        )
 
     def __hash__(self) -> int:
         return self._hash
+
+    def nulls(self) -> Iterator["Null"]:
+        yield self
 
     def __repr__(self) -> str:
         return f"Null({self.label})"
@@ -217,40 +148,23 @@ class Null(Term):
         return f"_:n{self.label}"
 
 
-class FunctionSymbol:
+class FunctionSymbol(Interned, kind="function_symbol", tag="fsym"):
     """A function symbol; Skolem symbols are a flagged subset of these."""
 
-    __slots__ = ("name", "arity", "is_skolem", "_hash")
-
-    _interned: Dict[Tuple[str, int, bool], "FunctionSymbol"] = {}
-    _counter = counter("function_symbol")
+    __slots__ = ("name", "arity", "is_skolem")
 
     def __new__(cls, name: str, arity: int, is_skolem: bool = True) -> "FunctionSymbol":
         key = (name, arity, is_skolem)
         interned = cls._interned.get(key)
-        if interned is not None:
-            cls._counter.hits += 1
-            return interned
-        cls._counter.misses += 1
-        maybe_evict(cls._interned)
-        self = super().__new__(cls)
+        if interned is None:
+            return cls._intern(key)
+        cls._counter.hits += 1
+        return interned
+
+    def _setup(self, name: str, arity: int, is_skolem: bool) -> None:
         self.name = name
         self.arity = arity
         self.is_skolem = is_skolem
-        self._hash = hash(("fsym", name, arity, is_skolem))
-        cls._interned[key] = self
-        return self
-
-    def __reduce__(self):
-        return (FunctionSymbol, (self.name, self.arity, self.is_skolem))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, FunctionSymbol)
-            and self.name == other.name
-            and self.arity == other.arity
-            and self.is_skolem == other.is_skolem
-        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -265,41 +179,34 @@ class FunctionSymbol:
         return self.name
 
 
-class FunctionTerm(Term):
+class FunctionTerm(Term, Interned, kind="function_term", tag="fterm"):
     """A functional term ``f(t1, ..., tn)`` (used to encode existentials)."""
 
-    __slots__ = ("symbol", "args", "_hash", "_ground", "_variables")
-
-    _interned: Dict[Tuple[FunctionSymbol, Tuple[Term, ...]], "FunctionTerm"] = {}
-    _counter = counter("function_term")
+    __slots__ = ("symbol", "args", "_ground", "_variables")
 
     def __new__(cls, symbol: FunctionSymbol, args: Sequence[Term]) -> "FunctionTerm":
-        args = tuple(args)
-        key = (symbol, args)
+        key = (symbol, tuple(args))
         interned = cls._interned.get(key)
-        if interned is not None:
-            cls._counter.hits += 1
-            return interned
+        if interned is None:
+            return cls._intern(key)
+        cls._counter.hits += 1
+        return interned
+
+    def _setup(self, symbol: FunctionSymbol, args: Tuple[Term, ...]) -> None:
         if len(args) != symbol.arity:
             raise ValueError(
                 f"function symbol {symbol.name} has arity {symbol.arity}, "
                 f"got {len(args)} arguments"
             )
-        cls._counter.misses += 1
-        maybe_evict(cls._interned)
-        self = super().__new__(cls)
         self.symbol = symbol
         self.args = args
-        self._hash = hash(("fterm", symbol, args))
         self._ground = all(arg.is_ground for arg in args)
         self._variables = tuple(
             var for arg in args for var in arg.variables()
         )
-        cls._interned[key] = self
-        return self
 
-    def __reduce__(self):
-        return (FunctionTerm, (self.symbol, self.args))
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_ground(self) -> bool:
@@ -327,17 +234,6 @@ class FunctionTerm(Term):
             return 1
         return 1 + max(arg.depth for arg in self.args)
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, FunctionTerm)
-            and self._hash == other._hash
-            and self.symbol == other.symbol
-            and self.args == other.args
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"FunctionTerm({self.symbol!r}, {self.args!r})"
 
@@ -345,71 +241,3 @@ class FunctionTerm(Term):
         inner = ", ".join(str(arg) for arg in self.args)
         return f"{self.symbol.name}({inner})"
 
-
-register_cache_clearer(Constant._interned.clear)
-register_cache_clearer(Variable._interned.clear)
-register_cache_clearer(Null._interned.clear)
-register_cache_clearer(FunctionSymbol._interned.clear)
-register_cache_clearer(FunctionTerm._interned.clear)
-
-
-GroundTerm = Union[Constant, Null, FunctionTerm]
-
-
-def variables_of(terms: Iterable[Term]) -> Tuple[Variable, ...]:
-    """Return the distinct variables of ``terms`` in order of first occurrence."""
-    seen = {}
-    for term in terms:
-        for var in term.variables():
-            if var not in seen:
-                seen[var] = None
-    return tuple(seen)
-
-
-def constants_of(terms: Iterable[Term]) -> Tuple[Constant, ...]:
-    """Return the distinct constants of ``terms`` in order of first occurrence."""
-    seen = {}
-    for term in terms:
-        for const in term.constants():
-            if const not in seen:
-                seen[const] = None
-    return tuple(seen)
-
-
-def nulls_of(terms: Iterable[Term]) -> Tuple[Null, ...]:
-    """Return the distinct labeled nulls of ``terms`` in order of first occurrence."""
-    seen = {}
-    for term in terms:
-        for null in term.nulls():
-            if null not in seen:
-                seen[null] = None
-    return tuple(seen)
-
-
-class TermFactory:
-    """Convenience factory producing interned variables/constants and fresh nulls.
-
-    Interning is global (see :mod:`repro.logic.interning`); the factory
-    remains as the API used by parsing and generation code, and still owns
-    the fresh-null counter.
-    """
-
-    def __init__(self) -> None:
-        self._next_null = 0
-
-    def constant(self, name: str) -> Constant:
-        """Return the interned constant with the given name."""
-        return Constant(name)
-
-    def variable(self, name: str) -> Variable:
-        """Return the interned variable with the given name."""
-        return Variable(name)
-
-    def fresh_null(self) -> Null:
-        """Return a labeled null never produced by this factory before."""
-        null = Null(self._next_null)
-        self._next_null += 1
-        return null
-
-
-DEFAULT_FACTORY = TermFactory()

@@ -11,15 +11,15 @@ universally quantified variable.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .atoms import Atom, atom_constants, atom_variables
-from .interning import counter, maybe_evict, register_cache_clearer
+from .interning import Interned
 from .substitution import Substitution
 from .terms import Constant, Variable
 
 
-class TGD:
+class TGD(Interned, kind="tgd", tag="tgd"):
     """A tuple-generating dependency ``∀x [body → ∃y head]``.
 
     The universally quantified variables are exactly the variables of the
@@ -36,7 +36,6 @@ class TGD:
     __slots__ = (
         "body",
         "head",
-        "_hash",
         "_frontier",
         "_existential",
         "_universal",
@@ -50,35 +49,19 @@ class TGD:
         "_canonical_form",
     )
 
-    _interned: dict = {}
-    _counter = counter("tgd")
-
     def __new__(cls, body: Sequence[Atom], head: Sequence[Atom]) -> "TGD":
         key = (tuple(body), tuple(head))
         interned = cls._interned.get(key)
-        if interned is not None:
-            cls._counter.hits += 1
-            return interned
-        self = super().__new__(cls)
-        self._init_structure(key[0], key[1])
-        cls._counter.misses += 1
-        maybe_evict(cls._interned)
-        cls._interned[key] = self
-        return self
+        if interned is None:
+            return cls._intern(key)
+        cls._counter.hits += 1
+        return interned
 
-    def __init__(self, body: Sequence[Atom], head: Sequence[Atom]) -> None:
-        # construction happens entirely in __new__ (interned); nothing to do
-        pass
-
-    def __reduce__(self):
-        return (TGD, (self.body, self.head))
-
-    def _init_structure(self, body: Tuple[Atom, ...], head: Tuple[Atom, ...]) -> None:
+    def _setup(self, body: Tuple[Atom, ...], head: Tuple[Atom, ...]) -> None:
         if not head:
             raise ValueError("a TGD must have a nonempty head")
         self.body = body
         self.head = head
-        self._hash = hash(("tgd", body, head))
         universal = frozenset(atom_variables(body))
         head_vars = frozenset(atom_variables(head))
         self._universal = universal
@@ -96,6 +79,9 @@ class TGD:
         #: set by normalize_tgd: this clause's canonical-variable form,
         #: cached on the interned clause so rederivations normalize in O(1)
         self._canonical_form: Optional["TGD"] = None
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     # variable structure
@@ -294,17 +280,6 @@ class TGD:
     # ------------------------------------------------------------------
     # dunder
     # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, TGD)
-            and self._hash == other._hash
-            and self.body == other.body
-            and self.head == other.head
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"TGD({self.body!r}, {self.head!r})"
 
@@ -315,9 +290,6 @@ class TGD:
             exist = ", ".join(sorted(f"?{v.name}" for v in self._existential))
             return f"{body} -> exists {exist}. {head}"
         return f"{body} -> {head}"
-
-
-register_cache_clearer(TGD._interned.clear)
 
 
 def head_normalize(tgds: Iterable[TGD]) -> Tuple[TGD, ...]:

@@ -33,9 +33,8 @@ from ..indexing.path_index import RulePathIndex
 from ..logic.atoms import Atom
 from ..logic.rules import Rule
 from ..logic.skolem import SkolemFactory, skolemize
-from ..logic.substitution import Substitution
 from ..logic.tgd import TGD, head_normalize
-from ..unification.mgu import mgu, mgu_atoms
+from ..unification.mgu import mgu
 from .base import InferenceRule, RewritingSettings, dedupe_atoms
 
 

@@ -7,11 +7,7 @@ from repro.logic.terms import (
     FunctionSymbol,
     FunctionTerm,
     Null,
-    TermFactory,
     Variable,
-    constants_of,
-    nulls_of,
-    variables_of,
 )
 
 
@@ -96,29 +92,3 @@ class TestFunctionTerms:
             "f", 1, is_skolem=False
         )
 
-
-class TestSymbolCollectors:
-    def test_variables_of_preserves_first_occurrence_order(self):
-        terms = [Variable("b"), Variable("a"), Variable("b")]
-        assert variables_of(terms) == (Variable("b"), Variable("a"))
-
-    def test_constants_of(self):
-        f = FunctionSymbol("f", 1)
-        terms = [Constant("c"), f(Constant("d")), Variable("x")]
-        assert constants_of(terms) == (Constant("c"), Constant("d"))
-
-    def test_nulls_of(self):
-        terms = [Null(1), Constant("a"), Null(2), Null(1)]
-        assert nulls_of(terms) == (Null(1), Null(2))
-
-
-class TestTermFactory:
-    def test_interning_returns_identical_objects(self):
-        factory = TermFactory()
-        assert factory.constant("a") is factory.constant("a")
-        assert factory.variable("x") is factory.variable("x")
-
-    def test_fresh_nulls_are_distinct(self):
-        factory = TermFactory()
-        nulls = {factory.fresh_null() for _ in range(10)}
-        assert len(nulls) == 10

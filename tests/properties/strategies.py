@@ -1,15 +1,18 @@
-"""Hypothesis strategies for terms, atoms, substitutions, and guarded TGDs."""
+"""Hypothesis strategies for terms, atoms, substitutions, guarded TGDs and rules."""
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
 from repro.logic.atoms import Atom, Predicate
-from repro.logic.terms import Constant, Variable
+from repro.logic.rules import Rule
+from repro.logic.skolem import SkolemFactory, skolemize_tgd
+from repro.logic.terms import Constant, FunctionSymbol, FunctionTerm, Null, Variable
 from repro.logic.tgd import TGD
 
 VARIABLE_NAMES = ("x", "y", "z", "u", "v")
 CONSTANT_NAMES = ("a", "b", "c")
+FUNCTION_NAMES = ("f", "g")
 PREDICATE_POOL = tuple(
     Predicate(name, arity)
     for name, arity in (("P", 1), ("Q", 1), ("R", 2), ("S", 2), ("T", 3))
@@ -24,6 +27,30 @@ def variables(draw) -> Variable:
 @st.composite
 def constants(draw) -> Constant:
     return Constant(draw(st.sampled_from(CONSTANT_NAMES)))
+
+
+@st.composite
+def nulls(draw) -> Null:
+    return Null(draw(st.integers(min_value=0, max_value=5)))
+
+
+@st.composite
+def function_symbols(draw) -> FunctionSymbol:
+    return FunctionSymbol(
+        draw(st.sampled_from(FUNCTION_NAMES)),
+        draw(st.integers(min_value=0, max_value=2)),
+        is_skolem=draw(st.booleans()),
+    )
+
+
+@st.composite
+def function_terms(draw) -> FunctionTerm:
+    symbol = draw(function_symbols())
+    return FunctionTerm(symbol, tuple(draw(terms()) for _ in range(symbol.arity)))
+
+
+def predicates():
+    return st.sampled_from(PREDICATE_POOL)
 
 
 @st.composite
@@ -72,6 +99,12 @@ def guarded_tgds(draw) -> TGD:
         args = tuple(draw(st.sampled_from(pool)) for _ in range(predicate.arity))
         head.append(Atom(predicate, args))
     return TGD(tuple(body), tuple(head))
+
+
+@st.composite
+def rules(draw) -> Rule:
+    """One rule of the Skolemization of a random guarded TGD."""
+    return draw(st.sampled_from(skolemize_tgd(draw(guarded_tgds()), SkolemFactory())))
 
 
 @st.composite

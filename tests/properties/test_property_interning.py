@@ -13,6 +13,7 @@ constructors (see ``repro.logic.interning``):
 import copy
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,30 @@ from repro.logic.tgd import TGD
 from repro.rewriting import rewrite
 from repro.workloads.ontology_suite import generate_suite
 
-from .strategies import atoms, constants, guarded_tgds, variables
+from .strategies import (
+    atoms,
+    constants,
+    function_symbols,
+    function_terms,
+    guarded_tgds,
+    nulls,
+    predicates,
+    rules,
+    variables,
+)
+
+#: one strategy per interned kind, keyed like ``intern_stats()``
+INTERNED_VALUES = {
+    "constant": constants(),
+    "variable": variables(),
+    "null": nulls(),
+    "function_symbol": function_symbols(),
+    "function_term": function_terms(),
+    "predicate": predicates(),
+    "atom": atoms(),
+    "tgd": guarded_tgds(),
+    "rule": rules(),
+}
 
 
 def _rebuild_term(term):
@@ -77,22 +101,18 @@ class TestEqualityIsIdentity:
 class TestSerializationRoundTrips:
     """Pickle and deepcopy must survive interning (and re-intern on load)."""
 
-    @given(atoms())
-    def test_pickle_round_trip_returns_the_interned_atom(self, atom):
-        assert pickle.loads(pickle.dumps(atom)) is atom
+    @pytest.mark.parametrize("kind", INTERNED_VALUES)
+    @given(data=st.data())
+    def test_pickle_round_trip_returns_the_interned_value(self, kind, data):
+        value = data.draw(INTERNED_VALUES[kind])
+        assert pickle.loads(pickle.dumps(value)) is value
 
-    @given(guarded_tgds())
-    def test_pickle_round_trip_returns_the_interned_tgd(self, tgd):
-        assert pickle.loads(pickle.dumps(tgd)) is tgd
-
-    @given(atoms())
-    def test_deepcopy_returns_the_interned_atom(self, atom):
+    @pytest.mark.parametrize("kind", INTERNED_VALUES)
+    @given(data=st.data())
+    def test_deepcopy_returns_the_interned_value(self, kind, data):
         # immutable interned values behave like ints/strs under deepcopy
-        assert copy.deepcopy(atom) is atom
-
-    @given(guarded_tgds())
-    def test_deepcopy_returns_the_interned_tgd(self, tgd):
-        assert copy.deepcopy(tgd) is tgd
+        value = data.draw(INTERNED_VALUES[kind])
+        assert copy.deepcopy(value) is value
 
 
 class TestOperationsPreserveInterning:
